@@ -13,7 +13,14 @@ exact cancellations instead of floating-point comparisons.
 Exponent tuples do not label functions uniquely: cos^2+sin^2 = 1 and
 cosh^2-sinh^2 = 1 relate monomials whose exponents differ by even integers.
 Expressions are therefore kept in a partial-fraction normal form in each
-variable pair (reduction rules in `_reduce_monomial`), which makes
+variable pair.  Every rewrite changes exponents by even integers, so each
+exponent splits once into a residue in [0, 2) and an integer offset
+(`_split`); the four residues fix a term's class and only the offsets are
+rewritten.  With X = cos^2, Y = sin^2 the canonical trig factors of a class
+are X^P (P in Z) or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the
+canonical hyperbolic factors are T^S (S in Z) or R^-k (k >= 1).  The
+reduction tables `_trig_table` and `_hyp_table` expand any offset pair into
+canonical factors in closed form, with integer coefficients.  This makes
 structural equality of normalized expressions coincide with equality of
 functions.  That is what allows operator identities to be verified as
 literally empty residuals.
@@ -26,8 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -82,36 +90,56 @@ def monomial(coeff: RationalLike, p: RationalLike = 0, q: RationalLike = 0,
                   rational(r), rational(s))])
 
 
-def _residue(e: Fraction) -> Fraction:
-    """Representative of e mod 2 in [0, 2)."""
-    return e - 2 * (e / 2).__floor__()
+def _split(e: Fraction) -> tuple[int, int, int]:
+    """(n, d, k) with e = n/d + 2k, 0 <= n/d < 2 and n/d in lowest terms.
 
-
-def _reduce_monomial(key: tuple) -> Optional[list[tuple[Fraction, tuple]]]:
-    """One rewriting step toward the partial-fraction normal form.
-
-    Trig pair (variables X = cos^2, Y = sin^2 with X + Y = 1): surplus sin
-    powers are expanded in cos, a cos surplus on a sin pole is expanded in
-    sin, and mixed poles are split.  Hyperbolic pair (R = cosh^2,
-    T = sinh^2 with R - T = 1) analogously, keeping cosh minimal.  Returns
-    None when `key` is already canonical.
+    n/d is the residue of e mod 2 and k its integer offset.  Int residues
+    keep keys cheap to hash, unlike a Fraction residue.
     """
-    p, q, r, s = key
-    qc, pc = _residue(q), _residue(p)
-    if q - qc >= 2:  # sin^2 = 1 - cos^2
-        return [(Fraction(1), (p, q - 2, r, s)), (Fraction(-1), (p + 2, q - 2, r, s))]
-    if q - qc <= -2 and p - pc >= 2:  # cos^2 = 1 - sin^2
-        return [(Fraction(1), (p - 2, q, r, s)), (Fraction(-1), (p - 2, q + 2, r, s))]
-    if q - qc <= -2 and p - pc <= -2:  # 1 = cos^2 + sin^2
-        return [(Fraction(1), (p + 2, q, r, s)), (Fraction(1), (p, q + 2, r, s))]
-    rc, sc = _residue(r), _residue(s)
-    if r - rc >= 2:  # cosh^2 = 1 + sinh^2
-        return [(Fraction(1), (p, q, r - 2, s)), (Fraction(1), (p, q, r - 2, s + 2))]
-    if r - rc <= -2 and s - sc >= 2:  # sinh^2 = cosh^2 - 1
-        return [(Fraction(1), (p, q, r + 2, s - 2)), (Fraction(-1), (p, q, r, s - 2))]
-    if r - rc <= -2 and s - sc <= -2:  # 1 = cosh^2 - sinh^2
-        return [(Fraction(1), (p, q, r + 2, s)), (Fraction(-1), (p, q, r, s + 2))]
-    return None
+    n, d = e.numerator, e.denominator
+    k = n // (2 * d)
+    return n - 2 * d * k, d, k
+
+
+@lru_cache(maxsize=None)
+def _trig_table(P: int, Q: int) -> tuple[tuple[int, int, int], ...]:
+    """X^P Y^Q with X = cos^2, Y = sin^2, X + Y = 1, as canonical terms.
+
+    Returns (c, P', Q') with integer c such that X^P Y^Q = sum c X^P' Y^Q'
+    and every X^P' Y^Q' canonical: Q' = 0, or P' = 0 and Q' <= -1.
+    """
+    if Q >= 0:  # Y^Q = (1 - X)^Q
+        return tuple(((-1) ** j * math.comb(Q, j), P + j, 0)
+                     for j in range(Q + 1))
+    b = -Q
+    if P == 0:
+        return ((1, 0, Q),)
+    if P < 0:  # mixed poles: partial fractions of 1/(X^a Y^b)
+        a = -P
+        return tuple((math.comb(a + b - i - 1, b - 1), -i, 0)
+                     for i in range(1, a + 1)) \
+            + tuple((math.comb(a + b - j - 1, a - 1), 0, -j)
+                    for j in range(1, b + 1))
+    # X^P / Y^b with X^P = (1 - Y)^P; powers Y^(j-b) >= 0 go back to X
+    acc: dict[tuple[int, int], int] = {}
+    for j in range(P + 1):
+        c = (-1) ** j * math.comb(P, j)
+        for c2, P2, Q2 in _trig_table(0, j - b):
+            acc[P2, Q2] = acc.get((P2, Q2), 0) + c * c2
+    return tuple((c, P2, Q2) for (P2, Q2), c in acc.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _hyp_table(R: int, S: int) -> tuple[tuple[int, int, int], ...]:
+    """cosh^2R sinh^2S, by cosh^2 - sinh^2 = 1, as canonical terms.
+
+    Returns (c, R', S') with integer c such that
+    cosh^2R sinh^2S = sum c cosh^2R' sinh^2S' and every term canonical:
+    R' = 0, or S' = 0 and R' <= -1.  With U = -sinh^2 the relation reads
+    U + cosh^2 = 1, which is the trig case with X = U and Y = cosh^2.
+    """
+    return tuple((-c if (S + U) % 2 else c, Rp, U)
+                 for c, U, Rp in _trig_table(S, R))
 
 
 @dataclass(frozen=True)
@@ -120,7 +148,10 @@ class FunExpr:
 
     Construction reduces every term to the partial-fraction normal form,
     merges equal exponent tuples, drops zero coefficients and sorts
-    lexicographically on (p, q, r, s).  Structural equality of the result
+    lexicographically on (p, q, r, s).  Within each residue class of
+    (p, q, r, s) mod 2 the canonical terms are X^P or Y^-k (k >= 1) times
+    T^S or R^-k (k >= 1), with X = cos^2, Y = sin^2, T = sinh^2,
+    R = cosh^2 and integer offsets P, S.  Structural equality of the result
     coincides with equality of the represented functions.
     """
 
@@ -128,18 +159,30 @@ class FunExpr:
 
     @staticmethod
     def from_terms(terms: Iterable[Monomial]) -> "FunExpr":
-        acc: dict[tuple, Fraction] = {}
-        work = [(t.coeff, t.key) for t in terms]
-        while work:
-            coeff, key = work.pop()
-            if coeff == 0:
+        # keyed by the (n, d, offset) splits of p, q, r, s, see _split
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for t in terms:
+            coeff = t.coeff
+            if not coeff:
                 continue
-            replacement = _reduce_monomial(key)
-            if replacement is None:
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-            else:
-                work.extend((coeff * c, k) for c, k in replacement)
-        merged = [Monomial(c, *k) for k, c in acc.items() if c != 0]
+            pn, pd, P = _split(t.p)
+            qn, qd, Q = _split(t.q)
+            rn, rd, R = _split(t.r)
+            sn, sd, S = _split(t.s)
+            hyp = _hyp_table(R, S)
+            for ct, P2, Q2 in _trig_table(P, Q):
+                for ch, R2, S2 in hyp:
+                    k = (pn, pd, P2, qn, qd, Q2, rn, rd, R2, sn, sd, S2)
+                    w = ct * ch
+                    c = coeff if w == 1 else coeff * w
+                    old = acc.get(k)
+                    acc[k] = c if old is None else old + c
+        merged = [Monomial(c, Fraction(pn + 2 * pd * P, pd),
+                           Fraction(qn + 2 * qd * Q, qd),
+                           Fraction(rn + 2 * rd * R, rd),
+                           Fraction(sn + 2 * sd * S, sd))
+                  for (pn, pd, P, qn, qd, Q, rn, rd, R, sn, sd, S), c
+                  in acc.items() if c]
         merged.sort(key=lambda m: m.key)
         return FunExpr(tuple(merged))
 
@@ -354,7 +397,7 @@ def _lower_growth(terms: list[Monomial]) -> list[Monomial]:
         rest = [m for m in work if m.r + m.s != gmax]
         packs: dict[tuple, list[Monomial]] = {}
         for m in top:
-            packs.setdefault((_residue(m.r), _residue(m.s)), []).append(m)
+            packs.setdefault((_split(m.r)[:2], _split(m.s)[:2]), []).append(m)
         new_terms: list[Monomial] = []
         for pack in packs.values():
             profile = FunExpr.from_terms(

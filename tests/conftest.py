@@ -3,9 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import integrate
 
 from ladderspec import eval_at
+
+# Same examples on every run (derandomize), and no per-example time limit,
+# so a slow machine cannot turn a passing property into a failure.
+settings.register_profile("ladderspec", derandomize=True, deadline=None)
+settings.load_profile("ladderspec")
 
 
 def quadrature_oracle(f, tol=1e-12):

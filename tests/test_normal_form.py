@@ -1,0 +1,135 @@
+"""Differential and property tests of the partial-fraction normal form.
+
+`FunExpr.from_terms` expands each offset pair in closed form.  The oracle
+below reaches the same normal form the slow way: a worklist that applies one
+two-term identity (sin^2 = 1 - cos^2, 1 = cos^2 + sin^2, cosh^2 = 1 + sinh^2,
+...) per step until no rule fires.  Both must give identical terms.
+"""
+
+import math
+from fractions import Fraction
+from typing import Optional
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ladderspec import FunExpr, eval_at
+from ladderspec.algebra import Monomial
+
+
+# --- reference oracle: the stepwise reducer -------------------------------
+
+def _residue(e: Fraction) -> Fraction:
+    """Representative of e mod 2 in [0, 2)."""
+    return e - 2 * (e / 2).__floor__()
+
+
+def _reduce_monomial(key: tuple) -> Optional[list[tuple[Fraction, tuple]]]:
+    """One rewriting step toward the partial-fraction normal form.
+
+    Trig pair (variables X = cos^2, Y = sin^2 with X + Y = 1): surplus sin
+    powers are expanded in cos, a cos surplus on a sin pole is expanded in
+    sin, and mixed poles are split.  Hyperbolic pair (R = cosh^2,
+    T = sinh^2 with R - T = 1) analogously, keeping cosh minimal.  Returns
+    None when `key` is already canonical.
+    """
+    p, q, r, s = key
+    qc, pc = _residue(q), _residue(p)
+    if q - qc >= 2:  # sin^2 = 1 - cos^2
+        return [(Fraction(1), (p, q - 2, r, s)), (Fraction(-1), (p + 2, q - 2, r, s))]
+    if q - qc <= -2 and p - pc >= 2:  # cos^2 = 1 - sin^2
+        return [(Fraction(1), (p - 2, q, r, s)), (Fraction(-1), (p - 2, q + 2, r, s))]
+    if q - qc <= -2 and p - pc <= -2:  # 1 = cos^2 + sin^2
+        return [(Fraction(1), (p + 2, q, r, s)), (Fraction(1), (p, q + 2, r, s))]
+    rc, sc = _residue(r), _residue(s)
+    if r - rc >= 2:  # cosh^2 = 1 + sinh^2
+        return [(Fraction(1), (p, q, r - 2, s)), (Fraction(1), (p, q, r - 2, s + 2))]
+    if r - rc <= -2 and s - sc >= 2:  # sinh^2 = cosh^2 - 1
+        return [(Fraction(1), (p, q, r + 2, s - 2)), (Fraction(-1), (p, q, r, s - 2))]
+    if r - rc <= -2 and s - sc <= -2:  # 1 = cosh^2 - sinh^2
+        return [(Fraction(1), (p, q, r + 2, s)), (Fraction(-1), (p, q, r, s + 2))]
+    return None
+
+
+def reference_from_terms(terms) -> FunExpr:
+    acc: dict[tuple, Fraction] = {}
+    work = [(t.coeff, t.key) for t in terms]
+    while work:
+        coeff, key = work.pop()
+        if coeff == 0:
+            continue
+        replacement = _reduce_monomial(key)
+        if replacement is None:
+            acc[key] = acc.get(key, Fraction(0)) + coeff
+        else:
+            work.extend((coeff * c, k) for c, k in replacement)
+    merged = [Monomial(c, *k) for k, c in acc.items() if c != 0]
+    merged.sort(key=lambda m: m.key)
+    return FunExpr(tuple(merged))
+
+
+# --- strategies ------------------------------------------------------------
+
+@st.composite
+def monomials(draw, budget=12):
+    """c * cos^p sin^q cosh^r sinh^s with random rational residues mod 2.
+
+    Each integer offset lies in [-8, 8].  The oracle's step count grows
+    about like 2^(|P| + |Q| + |R| + |S|) in the offsets, so the four share
+    one budget on that sum; any single one can still reach +-8.
+    """
+    offsets = [0] * 4
+    for slot in draw(st.permutations(range(4))):
+        reach = min(8, budget)
+        offsets[slot] = k = draw(st.integers(-reach, reach))
+        budget -= abs(k)
+    exps = []
+    for k in offsets:
+        d = draw(st.integers(1, 6))
+        exps.append(Fraction(draw(st.integers(0, 2 * d - 1)), d) + 2 * k)
+    coeff = Fraction(draw(st.integers(-9, 9).filter(bool)),
+                     draw(st.integers(1, 6)))
+    return Monomial(coeff, *exps)
+
+
+term_lists = st.lists(monomials(), max_size=4)
+small_exprs = st.lists(monomials(budget=4), min_size=1,
+                       max_size=2).map(FunExpr.from_terms)
+
+
+# --- tests -----------------------------------------------------------------
+
+@given(term_lists)
+@example([Monomial(Fraction(3), Fraction(-31, 2), Fraction(-17, 3),
+                   Fraction(-5, 2), Fraction(-4))])    # deep trig mixed pole
+@example([Monomial(Fraction(-1, 2), Fraction(-2), Fraction(-3, 2),
+                   Fraction(-17, 3), Fraction(-15))])  # deep hyp mixed pole
+def test_matches_stepwise_oracle(terms):
+    assert FunExpr.from_terms(terms) == reference_from_terms(terms)
+
+
+@given(term_lists)
+def test_idempotent(terms):
+    f = FunExpr.from_terms(terms)
+    assert FunExpr.from_terms(f.terms) == f
+
+
+@given(small_exprs, small_exprs, small_exprs)
+def test_mul_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@given(small_exprs, small_exprs, small_exprs)
+def test_mul_distributes_over_add(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+
+
+@given(term_lists, st.floats(0.2, math.pi / 2 - 0.2), st.floats(0.2, 2.0))
+def test_eval_of_raw_terms_agrees(terms, theta, xi):
+    raw = FunExpr(tuple(terms))  # bypasses normalization
+    f = FunExpr.from_terms(terms)
+    scale = sum(abs(eval_at(FunExpr((m,)), theta, xi))
+                for m in raw.terms + f.terms)
+    assert abs(eval_at(raw, theta, xi) - eval_at(f, theta, xi)) \
+        <= 1e-10 * max(scale, 1.0)
