@@ -26,6 +26,6 @@ from .spectra import (AdmissibilityError, EnergyLevel, LatticePoint,
                       SpectrumReport, bound_spectrum, enumerate_lattice,
                       gram_matrix, gram_rank, ground_beta, ground_chi,
                       ground_full, ground_theta, lattice_states, normalize,
-                      so42_vacuum, states_at, vertex_energy, witness_words)
+                      so42_vacuum, states_at, vertex_energy)
 
 __version__ = "0.1.0"

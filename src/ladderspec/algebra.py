@@ -231,17 +231,6 @@ class FunExpr:
             return "0"
         return " + ".join(str(m) for m in self.terms)
 
-    def leading_normalized(self) -> "FunExpr":
-        """Rescale so the first canonical term has coefficient 1."""
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.terms[0].coeff)
-
-    def proportional_to(self, other: "FunExpr") -> bool:
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.leading_normalized() == other.leading_normalized()
-
 
 def add(a: FunExpr, b: FunExpr) -> FunExpr:
     return a + b

@@ -97,13 +97,8 @@ def _lattice_doc(args):
 
     vertex = ParamPoint.of(args.l0, 0, args.l2)
     pts = spectra.enumerate_lattice(vertex, args.algebra, args.depth)
-    states = spectra.lattice_states(vertex, args.algebra, args.depth)
-    nodes = []
-    for pt in pts:
-        sts = states.get(pt.label, [])
-        deg = spectra.gram_rank(sts) if sts else 0
-        nodes.append({"label": [str(x) for x in pt.label.astuple()],
-                      "depth": pt.depth, "degeneracy": deg})
+    nodes = [{"label": [str(x) for x in pt.label.astuple()],
+              "depth": pt.depth, "degeneracy": pt.degeneracy} for pt in pts]
     reach = {pt.label for pt in pts}
     edges = []
     for pt in pts:

@@ -52,7 +52,6 @@ class GridSpec:
     variable: str
     n: int
     cutoff: float = 25.0
-    scheme: str = "uniform"
 
     def __post_init__(self):
         if self.variable not in ("theta", "xi"):
@@ -61,8 +60,6 @@ class GridSpec:
             raise ParameterError(f"need n >= 16 interior points, got {self.n}")
         if self.variable == "xi" and not self.cutoff > 0:
             raise ParameterError("xi grid needs a positive cutoff")
-        if self.scheme != "uniform":
-            raise ParameterError(f"only the uniform scheme is implemented, got {self.scheme!r}")
 
     @property
     def length(self) -> float:

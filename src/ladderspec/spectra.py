@@ -8,14 +8,16 @@ by the three lowering operators, with energy
 Raising words generate the rest of the representation; every generated state
 is an exact eigenstate of the Hamiltonian at its own label with the vertex
 energy.  The bound spectrum of one Hamiltonian collects the vertices whose
-lattice reaches its label; degeneracy is always computed as the numerical
-rank of the Gram matrix of generated states, never assumed from a counting
-rule.
+lattice reaches its label.  Degeneracy is the exact rank over Q of the
+generated states at a label, never assumed from a counting rule: the normal
+form is canonical, so the rank of the states' coefficient vectors is the
+dimension of their span.  A witness is a raising word whose state entered
+that basis.  The float Gram rank stays as a numerical cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +25,8 @@ import numpy as np
 
 from .algebra import (FunExpr, RationalLike, inner, is_normalizable, monomial,
                       norm_squared, rational)
-from .operators import (LabeledState, OperatorName as O, ParamPoint,
+# apply stays importable from here for tools that rebind the operator layer
+from .operators import (SHIFTS, LabeledState, OperatorName as O, ParamPoint,
                         apply, apply_word)
 
 HALF = Fraction(1, 2)
@@ -106,127 +109,126 @@ RAISING = {
 class LatticePoint:
     label: ParamPoint
     depth: int
+    degeneracy: int
 
 
-def _lattice_bfs(vertex_state: LabeledState, algebra: str,
-                 max_depth: int) -> dict[ParamPoint, tuple[int, list[LabeledState]]]:
-    """Breadth-first closure under the raising set with pruning.
+Word = tuple[O, ...]
 
-    A branch is pruned when it produces the zero expression or a state that
-    is not normalizable.  Returns label -> (minimal depth, independent states
-    seen at that label).
+
+def _enter(basis: list[tuple[tuple, dict]], expr: FunExpr) -> bool:
+    """Add expr's coefficient vector to an echelon basis over Q if independent.
+
+    Distinct canonical monomials are linearly independent, so the basis size
+    is the exact dimension of the span.  Each row is 1 at its pivot and 0 at
+    the pivots of the rows before it.
+    """
+    row = {m.key: m.coeff for m in expr.terms}
+    for pivot, prow in basis:
+        c = row.get(pivot)
+        if c:
+            for key, value in prow.items():
+                new = row.get(key, 0) - c * value
+                if new:
+                    row[key] = new
+                else:
+                    del row[key]
+    if not row:
+        return False
+    pivot = min(row)
+    inv = 1 / row[pivot]
+    basis.append((pivot, {k: v * inv for k, v in row.items()}))
+    return True
+
+
+def _reaches(label: ParamPoint, target: ParamPoint, algebra: str) -> bool:
+    """Whether a raising word of the algebra moves `label` to `target`."""
+    delta = [t - x for t, x in zip(target.astuple(), label.astuple())]
+    if any(d.denominator != 1 for d in delta):
+        return False
+    d0, d1, d2 = (int(d) for d in delta)
+    if algebra == "su21":
+        # a*A+ + c*C+ with shifts A+ = (-1,-1,0), C+ = (0,1,-1)
+        return d0 <= 0 and d2 <= 0 and d1 == d0 - d2
+    # a*A+ + at*Atilde+ + c*C+ + ct*Ctilde+ with Atilde+ = (1,-1,0) and
+    # Ctilde+ = (0,-1,-1): d0 = at-a, d1 = c-ct-a-at, d2 = -(c+ct)
+    return d2 <= 0 and (d0 + d1 + d2) % 2 == 0 and abs(d0) <= -d2 - d1
+
+
+def _walk(vertex: ParamPoint, algebra: str, max_depth: int | None = None,
+          target: ParamPoint | None = None
+          ) -> dict[ParamPoint, tuple[int, list[tuple[Word, LabeledState]]]]:
+    """Breadth-first span of the raising words out of a vertex.
+
+    Words grow by one raising operator at a time; zero and non-normalizable
+    images are pruned.  A state is kept only if it is independent of the
+    states kept at its label, and only kept states grow, so each label keeps
+    a basis of its generated states.  With a target, only labels from which
+    it is reachable are entered.  Returns label -> (minimal depth,
+    [(witness word, state)]), words written right-to-left.
     """
     try:
         raising = RAISING[algebra]
     except KeyError:
         raise ValueError(f"unknown algebra {algebra!r}; use 'su21' or 'so42'") from None
-    found: dict[ParamPoint, tuple[int, list[LabeledState]]] = {
-        vertex_state.label: (0, [vertex_state])}
-    frontier = [vertex_state]
-    for depth in range(1, max_depth + 1):
-        nxt: list[LabeledState] = []
-        for st in frontier:
+    if vertex.l1 != 0:
+        raise AdmissibilityError(f"vertices carry l1 = 0, got {vertex}")
+    vstate = ground_full(vertex.l0, vertex.l2)
+    if target is not None and not _reaches(vstate.label, target, algebra):
+        return {}
+    found: dict[ParamPoint, tuple[int, list[tuple[Word, LabeledState]]]] = {}
+    bases: dict[ParamPoint, list] = {}
+    frontier = [((), vstate)]
+    depth = 0
+    while frontier:
+        nxt = []
+        for word, st in frontier:
+            if not _enter(bases.setdefault(st.label, []), st.expr):
+                continue
+            found.setdefault(st.label, (depth, []))[1].append((word, st))
+            if depth == max_depth:
+                continue
             for op in raising:
-                img = apply(op, st)
-                if img.is_zero or not is_normalizable(img.expr):
+                label = st.label.shifted(SHIFTS[op])
+                if target is not None and not _reaches(label, target, algebra):
                     continue
-                d, states = found.get(img.label, (depth, []))
-                if any(img.expr.proportional_to(o.expr) for o in states):
-                    continue
-                states.append(img)
-                found[img.label] = (min(d, depth), states)
-                nxt.append(img)
+                img = apply_word((op,), st)
+                if not img.is_zero and is_normalizable(img.expr):
+                    nxt.append(((op,) + word, img))
         frontier = nxt
+        depth += 1
     return found
 
 
 def enumerate_lattice(vertex: ParamPoint, algebra: str,
                       max_depth: int) -> list[LatticePoint]:
-    """All labels reachable from the vertex by raising words of bounded length."""
-    if vertex.l1 != 0:
-        raise AdmissibilityError(f"vertices carry l1 = 0, got {vertex}")
-    vstate = ground_full(vertex.l0, vertex.l2)
-    found = _lattice_bfs(vstate, algebra, max_depth)
-    pts = [LatticePoint(lab, d) for lab, (d, _) in found.items()]
+    """Labels reachable by raising words of bounded length, with degeneracies."""
+    pts = [LatticePoint(lab, d, len(kept))
+           for lab, (d, kept) in _walk(vertex, algebra, max_depth).items()]
     pts.sort(key=lambda pt: (pt.depth, pt.label.astuple()))
     return pts
 
 
 def lattice_states(vertex: ParamPoint, algebra: str,
                    max_depth: int) -> dict[ParamPoint, list[LabeledState]]:
-    """Independent generated states per reachable label (for degeneracies)."""
-    vstate = ground_full(vertex.l0, vertex.l2)
-    found = _lattice_bfs(vstate, algebra, max_depth)
-    return {lab: states for lab, (_, states) in found.items()}
+    """A basis of the generated states per reachable label."""
+    return {lab: [st for _, st in kept]
+            for lab, (_, kept) in _walk(vertex, algebra, max_depth).items()}
 
 
-def _word_counts(vertex: ParamPoint, target: ParamPoint,
-                 algebra: str) -> list[dict[O, int]]:
-    """Multiset solutions: raising-operator counts moving vertex -> target."""
-    delta = (target.l0 - vertex.l0, target.l1 - vertex.l1, target.l2 - vertex.l2)
-    if any(d.denominator != 1 for d in delta):
-        return []
-    d0, d1, d2 = (int(d) for d in delta)
-    if algebra == "su21":
-        # a*A+ + c*C+ with shifts A+ = (-1,-1,0), C+ = (0,1,-1)
-        a, c = -d0, -d2
-        if a >= 0 and c >= 0 and (-a + c) == d1:
-            return [{O.A_PLUS: a, O.C_PLUS: c}]
-        return []
-    if algebra != "so42":
-        raise ValueError(f"unknown algebra {algebra!r}")
-    # a*(-1,-1,0) + at*(1,-1,0) + c*(0,1,-1) + ct*(0,-1,-1)
-    csum = -d2
-    if csum < 0 or (csum + d1 + d0) % 2:
-        return []
-    sols = []
-    for a in range(max(0, -d0), csum + abs(d1) + abs(d0) + 1):
-        at = a + d0
-        cdiff = d1 + a + at
-        c = (csum + cdiff) // 2
-        ct = csum - c
-        if ct < 0:
-            break
-        if c < 0:
-            continue
-        sols.append({O.A_PLUS: a, O.ATILDE_PLUS: at, O.C_PLUS: c, O.CTILDE_PLUS: ct})
-    return sols
-
-
-def _generate_at(vertex: ParamPoint, target: ParamPoint,
-                 algebra: str) -> tuple[list[tuple[O, ...]], list[LabeledState]]:
-    """Words (right-to-left order) and the independent states they produce."""
-    vstate = ground_full(vertex.l0, vertex.l2)
-    words: list[tuple[O, ...]] = []
-    states: list[LabeledState] = []
-    for counts in _word_counts(vertex, target, algebra):
-        symbols = [op for op, k in counts.items() for _ in range(k)]
-        for word in sorted(set(itertools.permutations(symbols))):
-            st = apply_word(word, vstate)
-            assert st.label == target
-            if st.is_zero or not is_normalizable(st.expr):
-                continue
-            if not any(st.expr.proportional_to(o.expr) for o in states):
-                states.append(st)
-                words.append(tuple(word))
-    return words, states
+def _witnesses(vertex: ParamPoint, target: ParamPoint,
+               algebra: str) -> list[tuple[Word, LabeledState]]:
+    """Witness words and their states at `target`, sorted by word."""
+    _, kept = _walk(vertex, algebra, target=target).get(target, (0, []))
+    return sorted(kept, key=lambda ws: ws[0])
 
 
 def states_at(vertex: ParamPoint, target: ParamPoint,
               algebra: str = "su21") -> list[LabeledState]:
-    """Distinct states at `target` from raising words out of `vertex`.
-
-    Enumerates every ordering of each word multiset, drops zero images and
-    removes proportional duplicates.  Returns [] when the target is not
-    reachable.
+    """A basis of the states at `target` generated by raising words out of
+    `vertex`, in the order of their witness words.  Returns [] when the
+    target is not reachable.
     """
-    return _generate_at(vertex, target, algebra)[1]
-
-
-def witness_words(vertex: ParamPoint, target: ParamPoint,
-                  algebra: str = "su21") -> list[tuple[O, ...]]:
-    """The raising words behind states_at, rightmost operator applied first."""
-    return _generate_at(vertex, target, algebra)[0]
+    return [st for _, st in _witnesses(vertex, target, algebra)]
 
 
 def gram_matrix(states: list[LabeledState]) -> np.ndarray:
@@ -241,7 +243,7 @@ def gram_matrix(states: list[LabeledState]) -> np.ndarray:
 
 
 def gram_rank(states: list[LabeledState], rel_tol: float = 1e-9) -> int:
-    """Rank of the Gram matrix; the operational definition of degeneracy."""
+    """Numerical rank of the Gram matrix; a float cross-check of degeneracy."""
     if not states:
         return 0
     labels = {st.label for st in states}
@@ -260,6 +262,9 @@ def normalize(st: LabeledState) -> tuple[LabeledState, float]:
     if st.is_zero:
         raise ValueError("cannot normalize the zero state")
     n2 = norm_squared(st.expr)
+    if not (math.isfinite(n2) and n2 > 0):
+        raise ValueError(
+            f"cannot normalize the state at {st.label}: norm squared is {n2!r}")
     const = 1.0 / float(np.sqrt(n2))
     scaled = st.expr.scale(Fraction(const))
     return LabeledState(st.label, scaled), const
@@ -269,7 +274,7 @@ def normalize(st: LabeledState) -> tuple[LabeledState, float]:
 class EnergyLevel:
     energy: Fraction
     degeneracy: int
-    witnesses: tuple[tuple[O, ...], ...]
+    witnesses: tuple[Word, ...]
     vertex: ParamPoint
 
     def to_dict(self) -> dict:
@@ -302,8 +307,10 @@ def bound_spectrum(target: ParamPoint, max_extra: int = 64) -> SpectrumReport:
     A vertex (l0', 0, l2') reaches the target only with l0' = l0 + k and
     l2' = l2 + l1 + k for a nonnegative word count k, so candidate level sums
     l0'+l2' walk upward in steps of two until normalizability (sum < -5/2)
-    fails.  Levels come out sorted by increasing energy; each level's
-    degeneracy is the Gram rank of its generated states.
+    fails.  Levels come out sorted by increasing energy.  Each level's
+    degeneracy is the exact rank over Q of the states its vertex generates
+    at the target, and its witnesses are the sorted words of a basis of
+    them, with the normalizations aligned to the witnesses.
     """
     levels: list[EnergyLevel] = []
     norms: list[tuple[float, ...]] = []
@@ -316,11 +323,12 @@ def bound_spectrum(target: ParamPoint, max_extra: int = 64) -> SpectrumReport:
         if v0 < -HALF:
             continue
         vertex = ParamPoint(v0, Fraction(0), v2)
-        words, sts = _generate_at(vertex, target, "su21")
-        if not sts:
+        kept = _witnesses(vertex, target, "su21")
+        if not kept:
             continue
-        levels.append(EnergyLevel(vertex_energy(v0, v2), gram_rank(sts),
-                                  tuple(words), vertex))
+        words, sts = zip(*kept)
+        levels.append(EnergyLevel(vertex_energy(v0, v2), len(kept), words,
+                                  vertex))
         norms.append(tuple(normalize(st)[1] for st in sts))
     if not levels:
         raise AdmissibilityError(

@@ -1,17 +1,23 @@
 """Ground states, lattices, degeneracies and bound spectra."""
 
+import itertools
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from ladderspec import (AdmissibilityError, LabeledState, OperatorName,
-                        ParamPoint, apply, apply_hamiltonian, bound_spectrum,
-                        cprime, enumerate_lattice, gram_rank, ground_beta,
-                        ground_chi, ground_full, ground_theta, lattice_states,
-                        monomial, norm_squared, normalize, so42_vacuum,
-                        states_at, vertex_energy)
-from ladderspec.operators import LOWERING_SO42, LOWERING_SU21
+                        ParamPoint, apply, apply_hamiltonian, apply_word,
+                        bound_spectrum, cprime, enumerate_lattice, gram_rank,
+                        ground_beta, ground_chi, ground_full, ground_theta,
+                        is_normalizable, lattice_states, monomial,
+                        norm_squared, normalize, so42_vacuum, states_at,
+                        vertex_energy)
+from ladderspec.cli import main as cli_main
+from ladderspec.operators import LOWERING_SO42, LOWERING_SU21, SHIFTS
+from ladderspec.spectra import RAISING, _reaches
 
 from conftest import quadrature_oracle
 
@@ -216,3 +222,124 @@ class TestBoundSpectrum:
         rep = bound_spectrum(ParamPoint.of(1, 0, -6))
         assert [(lv.energy, lv.degeneracy) for lv in rep.levels] == [
             (Fraction(-35, 4), 1), (Fraction(-3, 4), 2)]
+
+
+# -- exact degeneracy: span-based generation against independent oracles ----
+
+def dense_q_rank(exprs) -> int:
+    """Rank over Q by dense Gauss-Jordan elimination on the coefficients."""
+    rows = [{m.key: m.coeff for m in e.terms} for e in exprs]
+    keys = sorted({k for r in rows for k in r})
+    mat = [[r.get(k, Fraction(0)) for k in keys] for r in rows]
+    rank = 0
+    for col in range(len(keys)):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def all_word_states(vertex: ParamPoint, target: ParamPoint) -> list:
+    """Every su(2,1) raising word from vertex to target, applied whole;
+    zero and non-normalizable images dropped."""
+    a, c = int(vertex.l0 - target.l0), int(vertex.l2 - target.l2)
+    vstate = ground_full(vertex.l0, vertex.l2)
+    out = []
+    for word in set(itertools.permutations([O.A_PLUS] * a + [O.C_PLUS] * c)):
+        st = apply_word(word, vstate)
+        assert st.label == target
+        if not st.is_zero and is_normalizable(st.expr):
+            out.append(st)
+    return out
+
+
+def closed_form_levels(target: ParamPoint):
+    """(energy, degeneracy, vertex) per level from the separation count."""
+    s0 = target.l0 + target.l1 + target.l2
+    k = 0
+    while s0 + 2 * k < Fraction(-5, 2):
+        yield (vertex_energy(target.l0 + k, target.l1 + target.l2 + k), k + 1,
+               ParamPoint(target.l0 + k, Fraction(0), target.l2 + target.l1 + k))
+        k += 1
+
+
+# l0 in {0, 1/2, 1}, l1 in {0, 1}; level sums l0+l1+l2 of -6 (shallow) and -7
+BOX = [(ParamPoint(Fraction(l0), Fraction(l1), Fraction(s) - l0 - l1), s == -6)
+       for l0 in (Fraction(0), Fraction(1, 2), Fraction(1))
+       for l1 in (0, 1) for s in (-6, -7)]
+
+
+class TestExactDegeneracy:
+    def test_dependent_words_are_not_counted(self):
+        # the float Gram rank read [1, 2, 7, 25] here: dependent directions
+        # sat at singular values near its 1e-9 relative threshold
+        rep = bound_spectrum(ParamPoint.of(1, 2, -12))
+        assert [lv.degeneracy for lv in rep.levels] == [1, 2, 3, 4]
+
+    def test_lattice_degeneracy_is_the_exact_rank(self, capsys):
+        assert cli_main(["lattice", "--l0=1", "--l2=-9", "--algebra", "su21",
+                         "--depth", "6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        vertex = ParamPoint.of(1, 0, -9)
+        degs = {}
+        for node in doc["nodes"]:
+            label = ParamPoint.of(*node["label"])
+            want = dense_q_rank(s.expr for s in all_word_states(vertex, label))
+            assert node["degeneracy"] == want, node["label"]
+            degs[label] = node["degeneracy"]
+        # the node the float Gram rank over-counted as 3
+        assert degs[ParamPoint.of(0, 4, -14)] == 2
+
+    @pytest.mark.parametrize("target,shallow", BOX,
+                             ids=[str(t) for t, _ in BOX])
+    def test_separation_count_and_witnesses(self, target, shallow):
+        rep = bound_spectrum(target)
+        want = list(closed_form_levels(target))
+        assert [(lv.energy, lv.degeneracy, lv.vertex) for lv in rep.levels] == want
+        for k, lv in enumerate(rep.levels):
+            assert len(lv.witnesses) == lv.degeneracy == len(rep.normalizations[k])
+            assert list(lv.witnesses) == sorted(lv.witnesses)
+            vstate = ground_full(lv.vertex.l0, lv.vertex.l2)
+            replayed = [apply_word(word, vstate) for word in lv.witnesses]
+            for st in replayed:
+                assert st.label == target
+                assert apply_hamiltonian(st) == st.expr.scale(lv.energy)
+            assert dense_q_rank(st.expr for st in replayed) == lv.degeneracy
+            if shallow:
+                sts = states_at(lv.vertex, target)
+                assert gram_rank(sts) == len(sts) == lv.degeneracy
+
+
+class TestReachability:
+    @pytest.mark.parametrize("algebra", ["su21", "so42"])
+    def test_closed_form_matches_word_enumeration(self, algebra):
+        # a reachable shift in this box needs at most 9 raisings, so words
+        # of up to 12 letters decide reachability
+        shifts = [SHIFTS[op] for op in RAISING[algebra]]
+        reachable = set()
+        for counts in itertools.product(range(13), repeat=len(shifts)):
+            if sum(counts) <= 12:
+                reachable.add(tuple(sum(k * sh[i] for k, sh in zip(counts, shifts))
+                                    for i in range(3)))
+        origin = ParamPoint.of(0, 0, 0)
+        for d in itertools.product(range(-3, 4), range(-3, 4), range(-3, 2)):
+            assert _reaches(origin, ParamPoint.of(*d), algebra) == (d in reachable), d
+        assert not _reaches(origin, ParamPoint.of("-1/2", "-1/2", 0), algebra)
+
+
+class TestNormalizeRejectsBadNorm:
+    def test_negative_float_norm_is_a_typed_error(self, capsys):
+        # float cancellation in the integral gives norm^2 ~ -8e18 here
+        word = ",".join(["A+"] * 7 + ["C+"] * 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["state", "--l0=7", "--l2=-14", "--word", word])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "(0, 0, -21)" in err and "norm squared" in err
