@@ -8,9 +8,8 @@ safe for concurrent use.
 """
 
 from .algebra import (DivergenceError, DomainError, FunExpr, Monomial,
-                      add, d_theta, d_xi, eval_at, eval_grid, inner, integral,
-                      is_normalizable, monomial, mul, negate, norm_squared,
-                      rational)
+                      d_theta, d_xi, eval_at, eval_grid, inner, integral,
+                      is_normalizable, monomial, norm_squared, rational)
 from .identities import IdentityResult, run_suite
 from .numeric import (EigenResult, GridSpec, ParameterError,
                       TruncationWarning, residual_on_grid, solve_theta,

@@ -232,18 +232,6 @@ class FunExpr:
         return " + ".join(str(m) for m in self.terms)
 
 
-def add(a: FunExpr, b: FunExpr) -> FunExpr:
-    return a + b
-
-
-def mul(a: FunExpr, b: FunExpr) -> FunExpr:
-    return a * b
-
-
-def negate(a: FunExpr) -> FunExpr:
-    return -a
-
-
 def d_theta(f: FunExpr) -> FunExpr:
     """Exact d/dtheta: each monomial maps to at most two."""
     out = []

@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bound levels of one Hamiltonian")
     _add_label_flags(p)
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import operators as ops
 from .algebra import FunExpr, Monomial, monomial
@@ -139,77 +139,65 @@ def _factorization_residuals(family: str, x: Fraction, y: Fraction,
     return [res1, res2]
 
 
+def _detail(res: FunExpr, where: str = "") -> str:
+    return "" if res.is_zero else f"residual {res}{where}"
+
+
+def _first(details: Iterable[str]) -> str:
+    """The first nonempty failure detail, drawing no further; "" if none."""
+    return next(filter(None, details), "")
+
+
 def run_suite(seed: int = 0, probes: int = 5,
               apply_fn: ApplyFn = apply) -> list[IdentityResult]:
     """Run every exact identity on `probes` random states per identity."""
     rng = random.Random(seed)
     results: list[IdentityResult] = []
 
-    for entry in BRACKET_TABLE:
-        name = entry[0]
-        bad = ""
-        for _ in range(probes):
-            st = random_state(rng)
-            res = bracket_residual(entry, st, apply_fn)
-            if not res.is_zero:
-                bad = f"residual {res} on probe at {st.label}"
-                break
+    def record(name: str, check: Callable[..., str], *args) -> None:
+        bad = _first(check(*args) for _ in range(probes))
         results.append(IdentityResult(name, not bad, bad))
 
-    bad = ""
-    for _ in range(probes):
+    def bracket(entry) -> str:
+        st = random_state(rng)
+        return _detail(bracket_residual(entry, st, apply_fn), f" on probe at {st.label}")
+
+    def diagonal_sum() -> str:
         lab = random_label(rng)
         total = diag_eigenvalue("A", lab) - diag_eigenvalue("B", lab) \
             + diag_eigenvalue("C", lab)
-        if total != 0:
-            bad = f"A-B+C = {total} at {lab}"
-            break
-    results.append(IdentityResult("A - B + C = 0", not bad, bad))
+        return f"A-B+C = {total} at {lab}" if total != 0 else ""
 
-    for family in ("A", "B", "C"):
+    def factorization(family: str) -> str:
+        def small() -> Fraction:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         theta_only = family == "A"
-        name = f"factorization {family}-family"
-        bad = ""
-        for _ in range(probes):
-            def small() -> Fraction:
-                return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            probe = random_expr(rng, theta_only=theta_only,
-                                hyperbolic_only=not theta_only)
-            for res in _factorization_residuals(family, small(), small(), probe):
-                if not res.is_zero:
-                    bad = f"residual {res}"
-                    break
-            if bad:
-                break
-        results.append(IdentityResult(name, not bad, bad))
+        probe = random_expr(rng, theta_only=theta_only, hyperbolic_only=not theta_only)
+        x, y = small(), small()
+        return _first(map(_detail, _factorization_residuals(family, x, y, probe)))
 
-    for family in ("A", "B", "C"):
-        name = f"intertwining {family}-family"
-        bad = ""
-        for _ in range(probes):
-            res = verify_intertwining(family, random_label(rng), random_expr(rng))
-            if not res.is_zero:
-                bad = f"residual {res}"
-                break
-        results.append(IdentityResult(name, not bad, bad))
+    def intertwining(family: str) -> str:
+        return _detail(verify_intertwining(family, random_label(rng), random_expr(rng)))
 
-    bad = ""
-    for _ in range(probes):
+    def casimir() -> str:
         st = random_state(rng)
-        res = hamiltonian_from_casimir(st) - apply_hamiltonian(st)
-        if not res.is_zero:
-            bad = f"residual {res} at {st.label}"
-            break
-    results.append(IdentityResult("H = -4*Casimir + Cprime^2/3 - 15/4", not bad, bad))
+        return _detail(hamiltonian_from_casimir(st) - apply_hamiltonian(st), f" at {st.label}")
 
-    bad = ""
-    for op in ops.LADDER_OPERATORS:
+    def cprime_shift(op: O) -> str:
         d = ops.SHIFTS[op]
         dc = d[1] + d[2] - d[0]
         tilde = "tilde" in op.value
-        if (not tilde and dc != 0) or (tilde and abs(dc) != 2):
-            bad = f"{op.value} shifts Cprime by {dc}"
-            break
-    results.append(IdentityResult("Cprime shift rule (0 ladder / +-2 tilde)", not bad, bad))
+        bad = (not tilde and dc != 0) or (tilde and abs(dc) != 2)
+        return f"{op.value} shifts Cprime by {dc}" if bad else ""
 
+    for entry in BRACKET_TABLE:
+        record(entry[0], bracket, entry)
+    record("A - B + C = 0", diagonal_sum)
+    for family in ("A", "B", "C"):
+        record(f"factorization {family}-family", factorization, family)
+    for family in ("A", "B", "C"):
+        record(f"intertwining {family}-family", intertwining, family)
+    record("H = -4*Casimir + Cprime^2/3 - 15/4", casimir)
+    bad = _first(map(cprime_shift, ops.LADDER_OPERATORS))
+    results.append(IdentityResult("Cprime shift rule (0 ladder / +-2 tilde)", not bad, bad))
     return results

@@ -137,9 +137,14 @@ def _assemble(V: np.ndarray, h: float, nu_left: float,
 
 def _lowest(A: sps.csc_matrix, M: sps.csc_matrix, sigma: float,
             nev: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs of the pencil via shift-invert Arnoldi."""
+    """Lowest eigenpairs of the pencil via shift-invert Arnoldi.
+
+    The fixed positive start vector makes repeated solves bit-identical;
+    without it ARPACK starts from a random vector.
+    """
     nev = min(nev, A.shape[0] - 2)
-    vals, vecs = spla.eigs(A, k=nev, M=M, sigma=sigma, which="LM")
+    vals, vecs = spla.eigs(A, k=nev, M=M, sigma=sigma, which="LM",
+                           v0=np.ones(A.shape[0]))
     order = np.argsort(vals.real)
     return vals.real[order], vecs.real[:, order]
 

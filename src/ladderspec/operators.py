@@ -6,8 +6,10 @@ shifted label.  Index convention: a lowering operator of a family uses the
 label of the state it acts on, a raising operator uses the label of the
 state it produces, so that every application travels along an intertwining
 edge of the parameter lattice.  With the uniform factor 1/2 this closes the
-su(2,1) bracket table exactly, and together with the tilde operators (the
-parameter-reflected family) an so(4,2) set.
+su(2,1) bracket table exactly.  The tilde operators that complete an so(4,2)
+set are defined as reflected su(2,1) generators: Atilde+- and Btilde+- are
+A+- and B+- read at the label with l0 -> -l0, Ctilde+- is C+- read with
+l1 -> -l1.  Each family A/B/C is written once, in `_FAMILIES`.
 
 Realizations in the (theta, xi) chart use
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (FunExpr, Monomial, RationalLike, d_theta, d_xi,
                       monomial, rational)
@@ -105,50 +107,19 @@ LADDER_OPERATORS = tuple(op for op in OperatorName if SHIFTS[op] != (0, 0, 0))
 LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
 LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 
-# basis multipliers used in coefficient functions
-_TAN = (-1, 1, 0, 0)
-_COT = (1, -1, 0, 0)
-_TANH_COS = (1, 0, -1, 1)
-_COTH_SEC = (-1, 0, 1, -1)
-_TANH_SIN = (0, 1, -1, 1)
-_COTH_CSC = (0, -1, 1, -1)
+_DIAGONAL = {O.L0: 0, O.L1: 1, O.L2: 2}  # generator -> label entry
+
+# basis multipliers (cos, sin, cosh, sinh exponents) of the coefficients
+_TAN, _COT = (-1, 1, 0, 0), (1, -1, 0, 0)
+_TANH, _COTH = (0, 0, -1, 1), (0, 0, 1, -1)
+_TANH_COS, _COTH_SEC = (1, 0, -1, 1), (-1, 0, 1, -1)
+_TANH_SIN, _COTH_CSC = (0, 1, -1, 1), (0, -1, 1, -1)
 
 
-def _combo(*pairs: tuple[Fraction, tuple[int, int, int, int]]) -> FunExpr:
+def _combo(coeffs: tuple[Fraction, ...], mults: tuple[tuple[int, ...], ...]) -> FunExpr:
     return FunExpr.from_terms(
         Monomial(c, Fraction(dp), Fraction(dq), Fraction(dr), Fraction(ds))
-        for c, (dp, dq, dr, ds) in pairs if c != 0)
-
-
-# Each entry: derivative part ('dtheta'|'J0'|'J1', sign) and a zeroth-order
-# coefficient builder label -> FunExpr.  The overall factor 1/2 is applied
-# in `apply`.
-_LADDER_TABLE: dict[OperatorName, tuple[str, int, Callable[[ParamPoint], FunExpr]]] = {
-    O.A_PLUS: ("dtheta", +1, lambda l: _combo(
-        (-(l.l0 - HALF), _TAN), (l.l1 - HALF, _COT))),
-    O.A_MINUS: ("dtheta", -1, lambda l: _combo(
-        (-(l.l0 + HALF), _TAN), (l.l1 + HALF, _COT))),
-    O.ATILDE_PLUS: ("dtheta", +1, lambda l: _combo(
-        (l.l0 + HALF, _TAN), (l.l1 - HALF, _COT))),
-    O.ATILDE_MINUS: ("dtheta", -1, lambda l: _combo(
-        (l.l0 - HALF, _TAN), (l.l1 + HALF, _COT))),
-    O.B_PLUS: ("J1", +1, lambda l: _combo(
-        (l.l2 - HALF, _TANH_COS), (l.l0 - HALF, _COTH_SEC))),
-    O.B_MINUS: ("J1", -1, lambda l: _combo(
-        (l.l2 + HALF, _TANH_COS), (l.l0 + HALF, _COTH_SEC))),
-    O.BTILDE_PLUS: ("J1", +1, lambda l: _combo(
-        (l.l2 - HALF, _TANH_COS), (-(l.l0 + HALF), _COTH_SEC))),
-    O.BTILDE_MINUS: ("J1", -1, lambda l: _combo(
-        (l.l2 + HALF, _TANH_COS), (-(l.l0 - HALF), _COTH_SEC))),
-    O.C_PLUS: ("J0", +1, lambda l: _combo(
-        (l.l2 - HALF, _TANH_SIN), (-(l.l1 + HALF), _COTH_CSC))),
-    O.C_MINUS: ("J0", -1, lambda l: _combo(
-        (l.l2 + HALF, _TANH_SIN), (-(l.l1 - HALF), _COTH_CSC))),
-    O.CTILDE_PLUS: ("J0", +1, lambda l: _combo(
-        (l.l2 - HALF, _TANH_SIN), (l.l1 - HALF, _COTH_CSC))),
-    O.CTILDE_MINUS: ("J0", -1, lambda l: _combo(
-        (l.l2 + HALF, _TANH_SIN), (l.l1 + HALF, _COTH_CSC))),
-}
+        for c, (dp, dq, dr, ds) in zip(coeffs, mults) if c != 0)
 
 
 def apply_j0(f: FunExpr) -> FunExpr:
@@ -161,21 +132,64 @@ def apply_j1(f: FunExpr) -> FunExpr:
         - monomial(1, 0, 1, 1, -1) * d_theta(f)
 
 
-_DERIVATIVE_PART = {"dtheta": d_theta, "J0": apply_j0, "J1": apply_j1}
+class _Family(NamedTuple):
+    """One su(2,1) family X+- = +-D + c1(x, y) m1 + c2(x, y) m2.
+
+    (x, y) are the label entries in `slots`.  D and (m1, m2) are given in
+    the (theta, xi) chart and for the 1D factor Hamiltonian, whose
+    factorization constant is `constant(x, y)`.  The generators change sign
+    under the reflections of `odd_axes`.
+    """
+
+    deriv: Callable[[FunExpr], FunExpr]
+    deriv_1d: Callable[[FunExpr], FunExpr]
+    slots: tuple[int, int]
+    mults: tuple[tuple[int, int, int, int], ...]
+    mults_1d: tuple[tuple[int, int, int, int], ...]
+    coeffs: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+    constant: Callable[[Fraction, Fraction], Fraction]
+    odd_axes: tuple[int, ...] = ()
+
+
+_FAMILIES: dict[str, _Family] = {
+    "A": _Family(d_theta, d_theta, (0, 1), (_TAN, _COT), (_TAN, _COT),
+                 lambda x, y: (-(x + HALF), y + HALF),
+                 lambda x, y: (1 + x + y) ** 2),
+    "B": _Family(apply_j1, d_xi, (0, 2), (_TANH_COS, _COTH_SEC), (_TANH, _COTH),
+                 lambda x, y: (y + HALF, x + HALF),
+                 lambda x, y: -((1 + x + y) ** 2)),
+    "C": _Family(apply_j0, d_xi, (1, 2), (_TANH_SIN, _COTH_CSC), (_TANH, _COTH),
+                 lambda x, y: (y + HALF, -x + HALF),
+                 lambda x, y: -((1 - x + y) ** 2), (2,)),
+}
+
+# ladder generator -> (family, sign of D, reflected label axis or None)
+_GENERATORS: dict[OperatorName, tuple[str, int, int | None]] = {
+    O.A_PLUS: ("A", +1, None), O.A_MINUS: ("A", -1, None),
+    O.ATILDE_PLUS: ("A", +1, 0), O.ATILDE_MINUS: ("A", -1, 0),
+    O.B_PLUS: ("B", +1, None), O.B_MINUS: ("B", -1, None),
+    O.BTILDE_PLUS: ("B", +1, 0), O.BTILDE_MINUS: ("B", -1, 0),
+    O.C_PLUS: ("C", +1, None), O.C_MINUS: ("C", -1, None),
+    O.CTILDE_PLUS: ("C", +1, 1), O.CTILDE_MINUS: ("C", -1, 1),
+}
+_BY_KEY = {key: op for op, key in _GENERATORS.items()}
+_BY_SHIFT = {SHIFTS[op]: op for op in LADDER_OPERATORS}
 
 
 def apply(op: OperatorName, st: LabeledState) -> LabeledState:
-    """Apply one generator; the result carries the shifted label."""
-    if op is O.L0:
-        return LabeledState(st.label, st.expr.scale(st.label.l0))
-    if op is O.L1:
-        return LabeledState(st.label, st.expr.scale(st.label.l1))
-    if op is O.L2:
-        return LabeledState(st.label, st.expr.scale(st.label.l2))
-    kind, sign, coeff_fn = _LADDER_TABLE[op]
-    deriv = _DERIVATIVE_PART[kind](st.expr)
-    out = deriv.scale(sign) + coeff_fn(st.label) * st.expr
-    return LabeledState(st.label.shifted(SHIFTS[op]), out.scale(HALF))
+    """Apply one generator with the uniform factor 1/2; the result carries
+    the shifted label."""
+    if op in _DIAGONAL:
+        return LabeledState(st.label, st.expr.scale(st.label.astuple()[_DIAGONAL[op]]))
+    name, sign, axis = _GENERATORS[op]
+    fam = _FAMILIES[name]
+    label = st.label.shifted(SHIFTS[op])
+    v = list((label if sign > 0 else st.label).astuple())
+    if axis is not None:
+        v[axis] = -v[axis]
+    out = fam.deriv(st.expr).scale(sign) \
+        + _combo(fam.coeffs(v[fam.slots[0]], v[fam.slots[1]]), fam.mults) * st.expr
+    return LabeledState(label, out.scale(HALF))
 
 
 def apply_word(word: OperatorWord, st: LabeledState) -> LabeledState:
@@ -201,28 +215,27 @@ def cprime(label: ParamPoint) -> Fraction:
     return label.l1 + label.l2 - label.l0
 
 
+def _theta_factor(f: FunExpr, x: Fraction, y: Fraction) -> FunExpr:
+    """-d_theta^2 + (y^2-1/4)/sin^2 + (x^2-1/4)/cos^2 applied to f."""
+    return -d_theta(d_theta(f)) \
+        + monomial(y * y - Fraction(1, 4), 0, -2, 0, 0) * f \
+        + monomial(x * x - Fraction(1, 4), -2, 0, 0, 0) * f
+
+
 def apply_hamiltonian(st: LabeledState) -> FunExpr:
     """Exact image of the full Hamiltonian at the state's parameters."""
     l0, l1, l2 = st.label.astuple()
     f = st.expr
-    out = -d_xi(d_xi(f))
-    out = out - monomial(1, 0, 0, 1, -1) * d_xi(f)
-    out = out - monomial(l2 * l2 - Fraction(1, 4), 0, 0, -2, 0) * f
-    theta_part = -d_theta(d_theta(f)) \
-        + monomial(l1 * l1 - Fraction(1, 4), 0, -2, 0, 0) * f \
-        + monomial(l0 * l0 - Fraction(1, 4), -2, 0, 0, 0) * f
-    out = out + monomial(1, 0, 0, 0, -2) * theta_part
-    return out
+    return -d_xi(d_xi(f)) - monomial(1, 0, 0, 1, -1) * d_xi(f) \
+        - monomial(l2 * l2 - Fraction(1, 4), 0, 0, -2, 0) * f \
+        + monomial(1, 0, 0, 0, -2) * _theta_factor(f, l0, l1)
 
 
 def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
+    kind = "a hyperbolic-variable" if hyperbolic else "a theta-only"
     for m in f.terms:
-        if hyperbolic and (m.p != 0 or m.q != 0):
-            raise VariableMismatchError(
-                f"{which} operator expects a hyperbolic-variable expression, got {m}")
-        if not hyperbolic and (m.r != 0 or m.s != 0):
-            raise VariableMismatchError(
-                f"{which} operator expects a theta-only expression, got {m}")
+        if (m.p or m.q) if hyperbolic else (m.r or m.s):
+            raise VariableMismatchError(f"{which} operator expects {kind} expression, got {m}")
 
 
 def apply_separated(which: str, f: FunExpr,
@@ -240,9 +253,7 @@ def apply_separated(which: str, f: FunExpr,
     quarter = Fraction(1, 4)
     if which == "theta":
         _require_pair(f, hyperbolic=False, which=which)
-        return -d_theta(d_theta(f)) \
-            + monomial(y * y - quarter, 0, -2, 0, 0) * f \
-            + monomial(x * x - quarter, -2, 0, 0, 0) * f
+        return _theta_factor(f, x, y)
     if which in ("chi", "beta"):
         _require_pair(f, hyperbolic=True, which=which)
         return -d_xi(d_xi(f)) \
@@ -259,30 +270,19 @@ def separated_ladder(family: str, sign: int,
     family 'B', indices (a, c): +-d_chi  + (c+1/2) tanh + (a+1/2) coth
     family 'C', indices (b, c): +-d_beta + (c+1/2) tanh + (-b+1/2) coth
     """
-    x, y = rational(params[0]), rational(params[1])
-    if family == "A":
-        w = _combo((-(x + HALF), _TAN), (y + HALF, _COT))
-        return lambda f: d_theta(f).scale(sign) + w * f
-    if family == "B":
-        w = _combo((y + HALF, (0, 0, -1, 1)), (x + HALF, (0, 0, 1, -1)))
-        return lambda f: d_xi(f).scale(sign) + w * f
-    if family == "C":
-        w = _combo((y + HALF, (0, 0, -1, 1)), (-x + HALF, (0, 0, 1, -1)))
-        return lambda f: d_xi(f).scale(sign) + w * f
-    raise ValueError(f"unknown ladder family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown ladder family {family!r}")
+    fam = _FAMILIES[family]
+    w = _combo(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
+    return lambda f: fam.deriv_1d(f).scale(sign) + w * f
 
 
 def separated_eigenvalue(family: str,
                          params: tuple[RationalLike, RationalLike]) -> Fraction:
     """Factorization constants: (1+a+b)^2, -(1+a+c)^2, -(1-b+c)^2."""
-    x, y = rational(params[0]), rational(params[1])
-    if family == "A":
-        return (1 + x + y) ** 2
-    if family == "B":
-        return -((1 + x + y) ** 2)
-    if family == "C":
-        return -((1 - x + y) ** 2)
-    raise ValueError(f"unknown ladder family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown ladder family {family!r}")
+    return _FAMILIES[family].constant(rational(params[0]), rational(params[1]))
 
 
 def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledState:
@@ -312,14 +312,6 @@ def hamiltonian_from_casimir(st: LabeledState) -> FunExpr:
     return apply_casimir(st).scale(-4) + st.expr.scale(scalar)
 
 
-_FAMILY_EDGES = {
-    # family -> (lowering op, raising op); lowering uses the state's label
-    "A": (O.A_MINUS, O.A_PLUS),
-    "B": (O.B_MINUS, O.B_PLUS),
-    "C": (O.C_MINUS, O.C_PLUS),
-}
-
-
 def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunExpr:
     """Residual of the intertwining relations of one ladder family.
 
@@ -328,7 +320,7 @@ def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunEx
     same edge; returns the first nonzero residual (empty expression when both
     hold, which is the contract).
     """
-    dn, up = _FAMILY_EDGES[family]
+    dn, up = _BY_KEY[(family, -1, None)], _BY_KEY[(family, +1, None)]
     upper = label.shifted(SHIFTS[dn])
     lo_st = LabeledState(label, probe)
     res1 = apply(dn, LabeledState(label, apply_hamiltonian(lo_st))).expr \
@@ -341,41 +333,18 @@ def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunEx
     return res2
 
 
-# sign-carrying conjugation table of the three parameter reflections
-_REFLECT_TABLE: dict[int, dict[OperatorName, tuple[int, OperatorName]]] = {
-    0: {
-        O.A_PLUS: (1, O.ATILDE_PLUS), O.A_MINUS: (1, O.ATILDE_MINUS),
-        O.ATILDE_PLUS: (1, O.A_PLUS), O.ATILDE_MINUS: (1, O.A_MINUS),
-        O.B_PLUS: (1, O.BTILDE_PLUS), O.B_MINUS: (1, O.BTILDE_MINUS),
-        O.BTILDE_PLUS: (1, O.B_PLUS), O.BTILDE_MINUS: (1, O.B_MINUS),
-        O.C_PLUS: (1, O.C_PLUS), O.C_MINUS: (1, O.C_MINUS),
-        O.CTILDE_PLUS: (1, O.CTILDE_PLUS), O.CTILDE_MINUS: (1, O.CTILDE_MINUS),
-        O.L0: (-1, O.L0), O.L1: (1, O.L1), O.L2: (1, O.L2),
-    },
-    1: {
-        O.A_PLUS: (1, O.ATILDE_MINUS), O.A_MINUS: (1, O.ATILDE_PLUS),
-        O.ATILDE_PLUS: (1, O.A_MINUS), O.ATILDE_MINUS: (1, O.A_PLUS),
-        O.B_PLUS: (1, O.B_PLUS), O.B_MINUS: (1, O.B_MINUS),
-        O.BTILDE_PLUS: (1, O.BTILDE_PLUS), O.BTILDE_MINUS: (1, O.BTILDE_MINUS),
-        O.C_PLUS: (1, O.CTILDE_PLUS), O.C_MINUS: (1, O.CTILDE_MINUS),
-        O.CTILDE_PLUS: (1, O.C_PLUS), O.CTILDE_MINUS: (1, O.C_MINUS),
-        O.L0: (1, O.L0), O.L1: (-1, O.L1), O.L2: (1, O.L2),
-    },
-    2: {
-        O.A_PLUS: (1, O.A_PLUS), O.A_MINUS: (1, O.A_MINUS),
-        O.ATILDE_PLUS: (1, O.ATILDE_PLUS), O.ATILDE_MINUS: (1, O.ATILDE_MINUS),
-        O.B_PLUS: (1, O.BTILDE_MINUS), O.B_MINUS: (1, O.BTILDE_PLUS),
-        O.BTILDE_PLUS: (1, O.B_MINUS), O.BTILDE_MINUS: (1, O.B_PLUS),
-        O.C_PLUS: (-1, O.CTILDE_MINUS), O.C_MINUS: (-1, O.CTILDE_PLUS),
-        O.CTILDE_PLUS: (-1, O.C_MINUS), O.CTILDE_MINUS: (-1, O.C_PLUS),
-        O.L0: (1, O.L0), O.L1: (1, O.L1), O.L2: (-1, O.L2),
-    },
-}
-
-
 def reflect(i: int, op: OperatorName) -> tuple[int, OperatorName]:
-    """Conjugate `op` by the reflection l_i -> -l_i; returns (sign, name)."""
-    try:
-        return _REFLECT_TABLE[i][op]
-    except KeyError:
-        raise ValueError(f"no reflection entry for axis {i}, operator {op}") from None
+    """Conjugate `op` by the reflection l_i -> -l_i; returns (sign, name).
+
+    A ladder generator goes to the one whose shift has entry i negated; a
+    diagonal generator L_j stays, with sign -1 when j = i.
+    """
+    if i not in (0, 1, 2) or op not in SHIFTS:
+        raise ValueError(f"no reflection entry for axis {i}, operator {op}")
+    op = OperatorName(op)
+    if op in _DIAGONAL:
+        return (-1 if _DIAGONAL[op] == i else 1), op
+    d = list(SHIFTS[op])
+    d[i] = -d[i]
+    odd = i in _FAMILIES[_GENERATORS[op][0]].odd_axes
+    return (-1 if odd else 1), _BY_SHIFT[tuple(d)]

@@ -17,6 +17,7 @@ that basis.  The float Gram rank stays as a numerical cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -301,7 +302,7 @@ class SpectrumReport:
         }
 
 
-def bound_spectrum(target: ParamPoint, max_extra: int = 64) -> SpectrumReport:
+def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     """All bound levels of the Hamiltonian at `target`.
 
     A vertex (l0', 0, l2') reaches the target only with l0' = l0 + k and
@@ -314,7 +315,7 @@ def bound_spectrum(target: ParamPoint, max_extra: int = 64) -> SpectrumReport:
     """
     levels: list[EnergyLevel] = []
     norms: list[tuple[float, ...]] = []
-    for k in range(0, max_extra):
+    for k in itertools.count():
         v0 = target.l0 + k
         v2 = target.l2 + target.l1 + k
         sigma = v0 + v2

@@ -100,6 +100,12 @@ class TestSolveXi:
         for ev, res in zip(r.eigenvalues, r.residual_norms):
             assert res <= 1e-6 * abs(ev) + 1e-8
 
+    def test_repeated_solves_are_bit_identical(self):
+        grid = GridSpec("xi", 400, cutoff=25.0)
+        a = solve_xi(-5, 1.0, grid).eigenvalues
+        b = solve_xi(-5, 1.0, grid).eigenvalues
+        assert [v.hex() for v in a] == [v.hex() for v in b]
+
     def test_truncation_warning_on_tight_box(self):
         from ladderspec import TruncationWarning
         with pytest.warns(TruncationWarning):

@@ -223,6 +223,17 @@ class TestBoundSpectrum:
         assert [(lv.energy, lv.degeneracy) for lv in rep.levels] == [
             (Fraction(-35, 4), 1), (Fraction(-3, 4), 2)]
 
+    def test_level_walk_stops_only_at_normalizability(self, monkeypatch):
+        # at (0,0,-141) the level sums -141+2k stay below -5/2 for k = 0..69;
+        # one stub witness per level keeps the walk itself cheap
+        from ladderspec import spectra
+        monkeypatch.setattr(spectra, "_witnesses",
+                            lambda v, t, a: [((), ground_full(v.l0, v.l2))])
+        monkeypatch.setattr(spectra, "normalize", lambda st: (st, 1.0))
+        rep = bound_spectrum(ParamPoint.of(0, 0, -141))
+        assert len(rep.levels) == 70
+        assert rep.levels[-1].vertex == ParamPoint.of(69, 0, -72)
+
 
 # -- exact degeneracy: span-based generation against independent oracles ----
 
