@@ -18,7 +18,7 @@ import numpy as np
 from . import identities, numeric, spectra
 from .algebra import (DivergenceError, DomainError, eval_grid,
                       is_normalizable, rational)
-from .operators import (LabeledState, OperatorName, ParamPoint,
+from .operators import (SHIFTS, LabeledState, OperatorName, ParamPoint,
                         apply_hamiltonian, apply_word)
 from .spectra import AdmissibilityError
 
@@ -93,8 +93,6 @@ def cmd_verify(args) -> int:
 
 
 def _lattice_doc(args):
-    from .operators import SHIFTS
-
     vertex = ParamPoint.of(args.l0, 0, args.l2)
     pts = spectra.enumerate_lattice(vertex, args.algebra, args.depth)
     nodes = [{"label": [str(x) for x in pt.label.astuple()],
@@ -136,6 +134,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     st = spectra.ground_full(rational(args.l0), rational(args.l2))
     st = apply_word(_parse_word(args.word), st)
     if st.is_zero:

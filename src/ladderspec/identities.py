@@ -23,18 +23,19 @@ from .operators import (HALF, LabeledState, OperatorName as O, ParamPoint,
 
 ApplyFn = Callable[[O, LabeledState], LabeledState]
 
+
+def _family_rows(name: str, eps: int) -> list[tuple]:
+    """[X-,X+] = -2 eps X, [X,X+] = X+ and [X,X-] = -X- for one family."""
+    up, dn = name + "+", name + "-"
+    return [(f"[{dn},{up}] = {-2 * eps}{name}", dn, up, [(-2 * eps, name)]),
+            (f"[{name},{up}] = {up}", name, up, [(1, O(up))]),
+            (f"[{name},{dn}] = -{dn}", name, dn, [(-1, O(dn))])]
+
+
 # [x, y] = rhs; diagonal generators appear by family letter, rhs terms are
-# (constant-or-callable(label), ladder-op-or-None-for-identity).
-BRACKET_TABLE = [
-    ("[A-,A+] = -2A", "A-", "A+", [(lambda l: l.l0 + l.l1, None)]),
-    ("[A,A+] = A+", "A", "A+", [(1, O.A_PLUS)]),
-    ("[A,A-] = -A-", "A", "A-", [(-1, O.A_MINUS)]),
-    ("[B-,B+] = 2B", "B-", "B+", [(lambda l: -(l.l0 + l.l2), None)]),
-    ("[B,B+] = B+", "B", "B+", [(1, O.B_PLUS)]),
-    ("[B,B-] = -B-", "B", "B-", [(-1, O.B_MINUS)]),
-    ("[C-,C+] = 2C", "C-", "C+", [(lambda l: -(l.l2 - l.l1), None)]),
-    ("[C,C+] = C+", "C", "C+", [(1, O.C_PLUS)]),
-    ("[C,C-] = -C-", "C", "C-", [(-1, O.C_MINUS)]),
+# (constant, generator).
+BRACKET_TABLE = [row for name, fam in ops._FAMILIES.items()
+                 for row in _family_rows(name, fam.eps)] + [
     ("[A+,B+] = 0", "A+", "B+", []),
     ("[A-,B-] = 0", "A-", "B-", []),
     ("[A+,B-] = -C-", "A+", "B-", [(-1, O.C_MINUS)]),
@@ -63,8 +64,6 @@ BRACKET_TABLE = [
     ("[A,C] = 0", "A", "C", []),
     ("[B,C] = 0", "B", "C", []),
 ]
-
-_DIAG = ("A", "B", "C")
 
 
 def random_label(rng: random.Random) -> ParamPoint:
@@ -96,7 +95,7 @@ def random_state(rng: random.Random) -> LabeledState:
 
 
 def _act(gen: str, st: LabeledState, apply_fn: ApplyFn) -> LabeledState:
-    if gen in _DIAG:
+    if gen in ops._FAMILIES:
         return LabeledState(st.label, st.expr.scale(diag_eigenvalue(gen, st.label)))
     return apply_fn(O(gen), st)
 
@@ -105,12 +104,8 @@ def bracket_residual(entry, st: LabeledState, apply_fn: ApplyFn = apply) -> FunE
     _, xg, yg, rhs = entry
     lhs = _act(xg, _act(yg, st, apply_fn), apply_fn).expr \
         - _act(yg, _act(xg, st, apply_fn), apply_fn).expr
-    for coeff, opname in rhs:
-        c = coeff(st.label) if callable(coeff) else Fraction(coeff)
-        if opname is None:
-            lhs = lhs - st.expr.scale(c)
-        else:
-            lhs = lhs - apply_fn(opname, st).expr.scale(c)
+    for coeff, gen in rhs:
+        lhs = lhs - _act(gen, st, apply_fn).expr.scale(coeff)
     return lhs
 
 
@@ -123,14 +118,11 @@ class IdentityResult:
 
 def _factorization_residuals(family: str, x: Fraction, y: Fraction,
                              probe: FunExpr) -> list[FunExpr]:
-    """Both factorized forms of the 1D factor Hamiltonian at indices (x, y)."""
-    if family == "A":
-        which, shifted = "theta", (x - 1, y - 1)
-    elif family == "B":
-        which, shifted = "chi", (x - 1, y - 1)
-    else:
-        which, shifted = "beta", (x + 1, y - 1)
-    h = apply_separated(which, probe, (x, y))
+    """Both factorized forms of the 1D factor Hamiltonian at indices (x, y);
+    the second one factorizes at the partner indices (x - sigma, y - 1)."""
+    fam = ops._FAMILIES[family]
+    shifted = (x - fam.sigma, y - 1)
+    h = apply_separated(fam.separated, probe, (x, y))
     up, dn = separated_ladder(family, +1, (x, y)), separated_ladder(family, -1, (x, y))
     res1 = h - (up(dn(probe)) + probe.scale(separated_eigenvalue(family, (x, y))))
     up2 = separated_ladder(family, +1, shifted)
@@ -151,6 +143,8 @@ def _first(details: Iterable[str]) -> str:
 def run_suite(seed: int = 0, probes: int = 5,
               apply_fn: ApplyFn = apply) -> list[IdentityResult]:
     """Run every exact identity on `probes` random states per identity."""
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
     rng = random.Random(seed)
     results: list[IdentityResult] = []
 
@@ -171,7 +165,7 @@ def run_suite(seed: int = 0, probes: int = 5,
     def factorization(family: str) -> str:
         def small() -> Fraction:
             return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        theta_only = family == "A"
+        theta_only = ops._FAMILIES[family].separated == "theta"
         probe = random_expr(rng, theta_only=theta_only, hyperbolic_only=not theta_only)
         x, y = small(), small()
         return _first(map(_detail, _factorization_residuals(family, x, y, probe)))
@@ -186,16 +180,16 @@ def run_suite(seed: int = 0, probes: int = 5,
     def cprime_shift(op: O) -> str:
         d = ops.SHIFTS[op]
         dc = d[1] + d[2] - d[0]
-        tilde = "tilde" in op.value
+        tilde = ops._GENERATORS[op][2] is not None
         bad = (not tilde and dc != 0) or (tilde and abs(dc) != 2)
         return f"{op.value} shifts Cprime by {dc}" if bad else ""
 
     for entry in BRACKET_TABLE:
         record(entry[0], bracket, entry)
     record("A - B + C = 0", diagonal_sum)
-    for family in ("A", "B", "C"):
+    for family in ops._FAMILIES:
         record(f"factorization {family}-family", factorization, family)
-    for family in ("A", "B", "C"):
+    for family in ops._FAMILIES:
         record(f"intertwining {family}-family", intertwining, family)
     record("H = -4*Casimir + Cprime^2/3 - 15/4", casimir)
     bad = _first(map(cprime_shift, ops.LADDER_OPERATORS))

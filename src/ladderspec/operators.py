@@ -9,7 +9,14 @@ edge of the parameter lattice.  With the uniform factor 1/2 this closes the
 su(2,1) bracket table exactly.  The tilde operators that complete an so(4,2)
 set are defined as reflected su(2,1) generators: Atilde+- and Btilde+- are
 A+- and B+- read at the label with l0 -> -l0, Ctilde+- is C+- read with
-l1 -> -l1.  Each family A/B/C is written once, in `_FAMILIES`.
+l1 -> -l1.  Each family A/B/C is written once, in `_FAMILIES`, with two
+signs eps (A +1, B -1, C -1) and sigma (A +1, B +1, C -1) as
+X+- = +-D - eps (sigma x + 1/2) m_x + (y + 1/2) m_y at its label slots
+(x, y).  The signs give the rest: the 1D factorization constant
+eps (1 + sigma x + y)^2 with partner indices (x - sigma, y - 1), the
+diagonal eigenvalue -(sigma x + y)/2 with [X-, X+] = -2 eps X, the Casimir
+term eps X+ X-, and the raising shift (-sigma, -1) on (x, y), negated for
+lowering and on the reflected axis for a tilde generator.
 
 Realizations in the (theta, xi) chart use
 
@@ -93,20 +100,6 @@ OperatorWord = Sequence[OperatorName]
 
 O = OperatorName
 
-SHIFTS: dict[OperatorName, tuple[int, int, int]] = {
-    O.A_PLUS: (-1, -1, 0), O.A_MINUS: (1, 1, 0),
-    O.ATILDE_PLUS: (1, -1, 0), O.ATILDE_MINUS: (-1, 1, 0),
-    O.B_PLUS: (-1, 0, -1), O.B_MINUS: (1, 0, 1),
-    O.BTILDE_PLUS: (1, 0, -1), O.BTILDE_MINUS: (-1, 0, 1),
-    O.C_PLUS: (0, 1, -1), O.C_MINUS: (0, -1, 1),
-    O.CTILDE_PLUS: (0, -1, -1), O.CTILDE_MINUS: (0, 1, 1),
-    O.L0: (0, 0, 0), O.L1: (0, 0, 0), O.L2: (0, 0, 0),
-}
-
-LADDER_OPERATORS = tuple(op for op in OperatorName if SHIFTS[op] != (0, 0, 0))
-LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
-LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
-
 _DIAGONAL = {O.L0: 0, O.L1: 1, O.L2: 2}  # generator -> label entry
 
 # basis multipliers (cos, sin, cosh, sinh exponents) of the coefficients
@@ -133,34 +126,35 @@ def apply_j1(f: FunExpr) -> FunExpr:
 
 
 class _Family(NamedTuple):
-    """One su(2,1) family X+- = +-D + c1(x, y) m1 + c2(x, y) m2.
+    """One su(2,1) family X+- = +-D - eps (sigma x + 1/2) m_x + (y + 1/2) m_y.
 
-    (x, y) are the label entries in `slots`.  D and (m1, m2) are given in
-    the (theta, xi) chart and for the 1D factor Hamiltonian, whose
-    factorization constant is `constant(x, y)`.  The generators change sign
-    under the reflections of `odd_axes`.
+    (x, y) are the label entries in `slots`; eps is the sign of the
+    factorization constant and of the Casimir term, sigma the sign of x.  D
+    and (m_x, m_y) are given in the (theta, xi) chart and for the 1D factor
+    Hamiltonian `separated`.  The generators are odd under `odd_axes`.
     """
 
     deriv: Callable[[FunExpr], FunExpr]
     deriv_1d: Callable[[FunExpr], FunExpr]
+    separated: str
     slots: tuple[int, int]
     mults: tuple[tuple[int, int, int, int], ...]
     mults_1d: tuple[tuple[int, int, int, int], ...]
-    coeffs: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
-    constant: Callable[[Fraction, Fraction], Fraction]
+    eps: int
+    sigma: int
     odd_axes: tuple[int, ...] = ()
+
+    def coeffs(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+        return -self.eps * (self.sigma * x + HALF), y + HALF
 
 
 _FAMILIES: dict[str, _Family] = {
-    "A": _Family(d_theta, d_theta, (0, 1), (_TAN, _COT), (_TAN, _COT),
-                 lambda x, y: (-(x + HALF), y + HALF),
-                 lambda x, y: (1 + x + y) ** 2),
-    "B": _Family(apply_j1, d_xi, (0, 2), (_TANH_COS, _COTH_SEC), (_TANH, _COTH),
-                 lambda x, y: (y + HALF, x + HALF),
-                 lambda x, y: -((1 + x + y) ** 2)),
-    "C": _Family(apply_j0, d_xi, (1, 2), (_TANH_SIN, _COTH_CSC), (_TANH, _COTH),
-                 lambda x, y: (y + HALF, -x + HALF),
-                 lambda x, y: -((1 - x + y) ** 2), (2,)),
+    "A": _Family(d_theta, d_theta, "theta", (0, 1), (_TAN, _COT), (_TAN, _COT),
+                 +1, +1),
+    "B": _Family(apply_j1, d_xi, "chi", (0, 2), (_COTH_SEC, _TANH_COS),
+                 (_COTH, _TANH), -1, +1),
+    "C": _Family(apply_j0, d_xi, "beta", (1, 2), (_COTH_CSC, _TANH_SIN),
+                 (_COTH, _TANH), -1, -1, (2,)),
 }
 
 # ladder generator -> (family, sign of D, reflected label axis or None)
@@ -173,7 +167,34 @@ _GENERATORS: dict[OperatorName, tuple[str, int, int | None]] = {
     O.CTILDE_PLUS: ("C", +1, 1), O.CTILDE_MINUS: ("C", -1, 1),
 }
 _BY_KEY = {key: op for op, key in _GENERATORS.items()}
+
+
+def _shift(name: str, sign: int, axis: int | None) -> tuple[int, int, int]:
+    """The label shift of the ladder generator keyed as in `_GENERATORS`."""
+    fam = _FAMILIES[name]
+    d = [0, 0, 0]
+    d[fam.slots[0]], d[fam.slots[1]] = -sign * fam.sigma, -sign
+    if axis is not None:
+        d[axis] = -d[axis]
+    return tuple(d)
+
+
+SHIFTS: dict[OperatorName, tuple[int, int, int]] = {
+    op: _shift(*_GENERATORS[op]) if op in _GENERATORS else (0, 0, 0)
+    for op in OperatorName}
+
+LADDER_OPERATORS = tuple(op for op in OperatorName if op in _GENERATORS)
+LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
+LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 _BY_SHIFT = {SHIFTS[op]: op for op in LADDER_OPERATORS}
+_SEPARATED = {fam.separated: fam for fam in _FAMILIES.values()}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown ladder family {name!r}") from None
 
 
 def apply(op: OperatorName, st: LabeledState) -> LabeledState:
@@ -200,14 +221,10 @@ def apply_word(word: OperatorWord, st: LabeledState) -> LabeledState:
 
 
 def diag_eigenvalue(which: str, label: ParamPoint) -> Fraction:
-    """Eigenvalue of the diagonal generator of family 'A', 'B' or 'C'."""
-    if which == "A":
-        return -HALF * (label.l0 + label.l1)
-    if which == "B":
-        return -HALF * (label.l0 + label.l2)
-    if which == "C":
-        return -HALF * (label.l2 - label.l1)
-    raise ValueError(f"unknown diagonal family {which!r}")
+    """Eigenvalue -(sigma x + y)/2 of the diagonal generator of a family."""
+    fam = _family(which)
+    v = label.astuple()
+    return -HALF * (fam.sigma * v[fam.slots[0]] + v[fam.slots[1]])
 
 
 def cprime(label: ParamPoint) -> Fraction:
@@ -246,20 +263,20 @@ def apply_separated(which: str, f: FunExpr,
     which='chi':   -d^2 + (x^2-1/4)/sinh^2 - (y^2-1/4)/cosh^2 with (x, y) = (l0, l2)
     which='beta':  -d^2 + (x^2-1/4)/sinh^2 - (y^2-1/4)/cosh^2 with (x, y) = (l1, l2)
 
-    For 'chi'/'beta' the hyperbolic exponent slots of FunExpr are read as
-    cosh/sinh of the single variable.
+    For 'chi'/'beta' (families B and C; theta is A) the hyperbolic exponent
+    slots of FunExpr are read as cosh/sinh of the single variable.
     """
+    if which not in _SEPARATED:
+        raise ValueError(f"unknown separated Hamiltonian {which!r}")
     x, y = rational(params[0]), rational(params[1])
-    quarter = Fraction(1, 4)
-    if which == "theta":
-        _require_pair(f, hyperbolic=False, which=which)
+    hyperbolic = _SEPARATED[which].deriv_1d is d_xi
+    _require_pair(f, hyperbolic, which)
+    if not hyperbolic:
         return _theta_factor(f, x, y)
-    if which in ("chi", "beta"):
-        _require_pair(f, hyperbolic=True, which=which)
-        return -d_xi(d_xi(f)) \
-            + monomial(x * x - quarter, 0, 0, 0, -2) * f \
-            - monomial(y * y - quarter, 0, 0, -2, 0) * f
-    raise ValueError(f"unknown separated Hamiltonian {which!r}")
+    quarter = Fraction(1, 4)
+    return -d_xi(d_xi(f)) \
+        + monomial(x * x - quarter, 0, 0, 0, -2) * f \
+        - monomial(y * y - quarter, 0, 0, -2, 0) * f
 
 
 def separated_ladder(family: str, sign: int,
@@ -270,19 +287,18 @@ def separated_ladder(family: str, sign: int,
     family 'B', indices (a, c): +-d_chi  + (c+1/2) tanh + (a+1/2) coth
     family 'C', indices (b, c): +-d_beta + (c+1/2) tanh + (-b+1/2) coth
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown ladder family {family!r}")
-    fam = _FAMILIES[family]
+    fam = _family(family)
     w = _combo(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
     return lambda f: fam.deriv_1d(f).scale(sign) + w * f
 
 
 def separated_eigenvalue(family: str,
                          params: tuple[RationalLike, RationalLike]) -> Fraction:
-    """Factorization constants: (1+a+b)^2, -(1+a+c)^2, -(1-b+c)^2."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown ladder family {family!r}")
-    return _FAMILIES[family].constant(rational(params[0]), rational(params[1]))
+    """Factorization constants eps (1 + sigma x + y)^2: (1+a+b)^2,
+    -(1+a+c)^2, -(1-b+c)^2."""
+    fam = _family(family)
+    x, y = rational(params[0]), rational(params[1])
+    return fam.eps * (1 + fam.sigma * x + y) ** 2
 
 
 def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledState:
@@ -294,15 +310,16 @@ def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledSta
 
 
 def apply_casimir(st: LabeledState) -> FunExpr:
-    """Quadratic Casimir: A+A- - B+B- - C+C- + 2/3(A^2+B^2+C^2) - (A+B+C)."""
-    out = apply(O.A_PLUS, apply(O.A_MINUS, st)).expr
-    out = out - apply(O.B_PLUS, apply(O.B_MINUS, st)).expr
-    out = out - apply(O.C_PLUS, apply(O.C_MINUS, st)).expr
-    a = diag_eigenvalue("A", st.label)
-    b = diag_eigenvalue("B", st.label)
-    c = diag_eigenvalue("C", st.label)
-    scalar = Fraction(2, 3) * (a * a + b * b + c * c) - (a + b + c)
-    return out + st.expr.scale(scalar)
+    """Quadratic Casimir: the sum over the families of eps X+X- + 2/3 X^2 - X,
+    that is A+A- - B+B- - C+C- + 2/3(A^2+B^2+C^2) - (A+B+C)."""
+    terms: tuple[Monomial, ...] = ()
+    scalar = Fraction(0)
+    for name, fam in _FAMILIES.items():
+        up, dn = _BY_KEY[(name, +1, None)], _BY_KEY[(name, -1, None)]
+        terms += apply(up, apply(dn, st)).expr.scale(fam.eps).terms
+        x = diag_eigenvalue(name, st.label)
+        scalar += Fraction(2, 3) * x * x - x
+    return FunExpr.from_terms(terms + st.expr.scale(scalar).terms)
 
 
 def hamiltonian_from_casimir(st: LabeledState) -> FunExpr:

@@ -167,6 +167,8 @@ def _walk(vertex: ParamPoint, algebra: str, max_depth: int | None = None,
     it is reachable are entered.  Returns label -> (minimal depth,
     [(witness word, state)]), words written right-to-left.
     """
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"lattice depth must be at least 0, got {max_depth}")
     try:
         raising = RAISING[algebra]
     except KeyError:

@@ -62,6 +62,13 @@ class TestVerify:
         assert out1 == out2
         assert "FAIL" not in out1
 
+    def test_zero_probes_exits_2(self, capsys):
+        # zero probes would report every identity as holding unchecked
+        code, out, err = run_cli(capsys, "verify", "--probes", "0")
+        assert code == 2
+        assert out == ""
+        assert "probes" in err
+
 
 class TestLattice:
     def test_json_plane(self, capsys):
@@ -100,6 +107,14 @@ class TestLattice:
     def test_inadmissible_vertex(self, capsys):
         code, _, _ = run_cli(capsys, "lattice", "--l0", "0", "--l2", "-2")
         assert code == 2
+
+    def test_negative_depth_exits_2(self, capsys):
+        # a negative depth never equals the walk's depth, so it would not stop
+        code, out, err = run_cli(capsys, "lattice", "--l0", "0", "--l2", "-3",
+                                 "--depth", "-1")
+        assert code == 2
+        assert out == ""
+        assert "depth" in err
 
 
 class TestSample:
@@ -140,6 +155,13 @@ class TestSample:
         w = np.sinh(xis)[None, :] * (np.pi / 2 / n) * (cutoff / n)
         g1, g2 = eval_grid(s1.expr, ths, xis), eval_grid(s2.expr, ths, xis)
         assert abs(float((g1 * g2 * w).sum())) < 1e-3
+
+    def test_zero_grid_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--l0", "0", "--l2", "-5",
+                                 "--grid", "0")
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
 
     def test_zero_state_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--l0", "0", "--l2", "-3",

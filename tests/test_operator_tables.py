@@ -1,10 +1,14 @@
 """Differential tests of the one-table ladder families.
 
-`operators._FAMILIES` writes each su(2,1) family once and derives the tilde
-generators, the 1D intertwiners and the reflection map from it.  The oracle
-below is the earlier form of the same operators, spelled out per generator:
-twelve coefficient builders, a per-family 1D intertwiner and a literal
-45-entry reflection table.  Both must give identical normal forms.
+`operators._FAMILIES` writes each su(2,1) family once, by its label slots,
+its multipliers and the two signs (eps, sigma), and derives from it the
+tilde generators, the label shifts, the 1D intertwiners and factorization
+constants, the diagonal eigenvalues, the Casimir and the reflection map.
+The oracle below is the earlier form of the same facts, spelled out per
+generator or per family: a literal 15-entry shift table, twelve coefficient
+builders, a per-family 1D intertwiner, the per-family constants and
+diagonal eigenvalues, the Casimir written term by term and a literal
+45-entry reflection table.  Both must give identical results.
 """
 
 from fractions import Fraction
@@ -15,15 +19,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderspec import (FunExpr, LabeledState, OperatorName, ParamPoint, apply,
-                        d_theta, d_xi, monomial, reflect, separated_ladder)
+                        apply_casimir, d_theta, d_xi, diag_eigenvalue,
+                        monomial, reflect, separated_eigenvalue,
+                        separated_ladder)
 from ladderspec.algebra import Monomial, RationalLike, rational
-from ladderspec.operators import SHIFTS
+from ladderspec.operators import LADDER_OPERATORS, SHIFTS
 
 O = OperatorName
 HALF = Fraction(1, 2)
 
 
 # --- reference oracle: one coefficient builder per generator --------------
+
+_SHIFTS: dict[OperatorName, tuple[int, int, int]] = {
+    O.A_PLUS: (-1, -1, 0), O.A_MINUS: (1, 1, 0),
+    O.ATILDE_PLUS: (1, -1, 0), O.ATILDE_MINUS: (-1, 1, 0),
+    O.B_PLUS: (-1, 0, -1), O.B_MINUS: (1, 0, 1),
+    O.BTILDE_PLUS: (1, 0, -1), O.BTILDE_MINUS: (-1, 0, 1),
+    O.C_PLUS: (0, 1, -1), O.C_MINUS: (0, -1, 1),
+    O.CTILDE_PLUS: (0, -1, -1), O.CTILDE_MINUS: (0, 1, 1),
+    O.L0: (0, 0, 0), O.L1: (0, 0, 0), O.L2: (0, 0, 0),
+}
 
 _TAN = (-1, 1, 0, 0)
 _COT = (1, -1, 0, 0)
@@ -90,7 +106,7 @@ def reference_apply(op: OperatorName, st: LabeledState) -> LabeledState:
     kind, sign, coeff_fn = _LADDER_TABLE[op]
     deriv = _DERIVATIVE_PART[kind](st.expr)
     out = deriv.scale(sign) + coeff_fn(st.label) * st.expr
-    return LabeledState(st.label.shifted(SHIFTS[op]), out.scale(HALF))
+    return LabeledState(st.label.shifted(_SHIFTS[op]), out.scale(HALF))
 
 
 def reference_separated_ladder(
@@ -107,6 +123,35 @@ def reference_separated_ladder(
         w = _combo((y + HALF, (0, 0, -1, 1)), (-x + HALF, (0, 0, 1, -1)))
         return lambda f: d_xi(f).scale(sign) + w * f
     raise ValueError(f"unknown ladder family {family!r}")
+
+
+_CONSTANTS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
+    "A": lambda x, y: (1 + x + y) ** 2,
+    "B": lambda x, y: -((1 + x + y) ** 2),
+    "C": lambda x, y: -((1 - x + y) ** 2),
+}
+
+
+def reference_diag_eigenvalue(which: str, label: ParamPoint) -> Fraction:
+    if which == "A":
+        return -HALF * (label.l0 + label.l1)
+    if which == "B":
+        return -HALF * (label.l0 + label.l2)
+    if which == "C":
+        return -HALF * (label.l2 - label.l1)
+    raise ValueError(f"unknown diagonal family {which!r}")
+
+
+def reference_casimir(st: LabeledState) -> FunExpr:
+    """Quadratic Casimir: A+A- - B+B- - C+C- + 2/3(A^2+B^2+C^2) - (A+B+C)."""
+    out = reference_apply(O.A_PLUS, reference_apply(O.A_MINUS, st)).expr
+    out = out - reference_apply(O.B_PLUS, reference_apply(O.B_MINUS, st)).expr
+    out = out - reference_apply(O.C_PLUS, reference_apply(O.C_MINUS, st)).expr
+    a = reference_diag_eigenvalue("A", st.label)
+    b = reference_diag_eigenvalue("B", st.label)
+    c = reference_diag_eigenvalue("C", st.label)
+    scalar = Fraction(2, 3) * (a * a + b * b + c * c) - (a + b + c)
+    return out + st.expr.scale(scalar)
 
 
 _REFLECT_TABLE: dict[int, dict[OperatorName, tuple[int, OperatorName]]] = {
@@ -182,6 +227,30 @@ def test_separated_ladder_matches_per_family_form(family, sign, x, y, data):
     assert got == reference_separated_ladder(family, sign, (x, y))(f)
 
 
+def test_shifts_match_literal_table():
+    assert list(SHIFTS.items()) == list(_SHIFTS.items())
+    assert LADDER_OPERATORS == tuple(op for op in O if _SHIFTS[op] != (0, 0, 0))
+
+
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+@given(x=rationals, y=rationals)
+def test_separated_eigenvalue_matches_per_family_constant(family, x, y):
+    assert separated_eigenvalue(family, (x, y)) == _CONSTANTS[family](x, y)
+
+
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+@given(label=labels)
+def test_diag_eigenvalue_matches_per_family_chain(family, label):
+    assert diag_eigenvalue(family, label) == reference_diag_eigenvalue(family, label)
+
+
+@settings(max_examples=25)
+@given(label=labels, expr=exprs())
+def test_casimir_matches_term_by_term_form(label, expr):
+    st_ = LabeledState(label, expr)
+    assert apply_casimir(st_) == reference_casimir(st_)
+
+
 @pytest.mark.parametrize("axis", (0, 1, 2))
 def test_reflect_matches_literal_table(axis):
     assert {op: reflect(axis, op) for op in O} == _REFLECT_TABLE[axis]
@@ -190,6 +259,10 @@ def test_reflect_matches_literal_table(axis):
 def test_unknown_family_and_reflection_entry_are_rejected():
     with pytest.raises(ValueError):
         separated_ladder("D", +1, (0, 0))
+    with pytest.raises(ValueError):
+        separated_eigenvalue("D", (0, 0))
+    with pytest.raises(ValueError):
+        diag_eigenvalue("D", ParamPoint.of(0, 0, 0))
     with pytest.raises(ValueError):
         reflect(3, O.A_PLUS)
     with pytest.raises(ValueError):
