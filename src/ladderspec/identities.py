@@ -23,6 +23,8 @@ from .operators import (HALF, LabeledState, OperatorName as O, ParamPoint,
 
 ApplyFn = Callable[[O, LabeledState], LabeledState]
 
+MAX_PROBE_TERMS = 3  # random_expr draws 1..MAX_PROBE_TERMS monomials
+
 
 def _family_rows(name: str, eps: int) -> list[tuple]:
     """[X-,X+] = -2 eps X, [X,X+] = X+ and [X,X-] = -X- for one family."""
@@ -72,8 +74,8 @@ def random_label(rng: random.Random) -> ParamPoint:
     return ParamPoint(frac(), frac(), frac())
 
 
-def random_expr(rng: random.Random, max_terms: int = 3,
-                theta_only: bool = False, hyperbolic_only: bool = False) -> FunExpr:
+def random_expr(rng: random.Random, theta_only: bool = False,
+                hyperbolic_only: bool = False) -> FunExpr:
     def expo() -> Fraction:
         return Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
 
@@ -82,7 +84,7 @@ def random_expr(rng: random.Random, max_terms: int = 3,
         return c if rng.random() < 0.5 else -c
 
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, MAX_PROBE_TERMS)):
         p, q = (expo(), expo()) if not hyperbolic_only else (Fraction(0), Fraction(0))
         r, s = (expo(), expo()) if not theta_only else (Fraction(0), Fraction(0))
         terms.append(Monomial(coeff(), p, q, r, s))

@@ -17,6 +17,7 @@ potential (in the form coded below).
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ class GridSpec:
             raise ParameterError(f"variable must be 'theta' or 'xi', got {self.variable!r}")
         if self.n < 16:
             raise ParameterError(f"need n >= 16 interior points, got {self.n}")
-        if self.variable == "xi" and not self.cutoff > 0:
-            raise ParameterError("xi grid needs a positive cutoff")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ParameterError(f"cutoff must be finite and positive, got {self.cutoff}")
 
     @property
     def length(self) -> float:
@@ -86,76 +87,68 @@ def _frobenius_stencil(x: float, h: float, nu: float) -> tuple[float, float, flo
     Wall sits at x = 0; the node adjacent to it uses the two-term basis since
     the Dirichlet value closes the third condition.
     """
-    xm, xp = x - h, x + h
-    powers = (nu, nu + 2, nu + 4)
-    if xm <= 1e-14:
-        a = np.array([[x ** p, xp ** p] for p in powers[:2]])
-        b = np.array([p * (p - 1) * x ** (p - 2) for p in powers[:2]])
-        w0, wp = np.linalg.solve(a, b)
-        return 0.0, float(w0), float(wp)
-    a = np.array([[xm ** p, x ** p, xp ** p] for p in powers])
+    nodes = (x, x + h) if x - h <= 1e-14 else (x - h, x, x + h)
+    powers = (nu, nu + 2, nu + 4)[:len(nodes)]
+    a = np.array([[t ** p for t in nodes] for p in powers])
     b = np.array([p * (p - 1) * x ** (p - 2) for p in powers])
-    wm, w0, wp = np.linalg.solve(a, b)
-    return float(wm), float(w0), float(wp)
+    w = [float(v) for v in np.linalg.solve(a, b)]
+    return tuple([0.0] * (3 - len(w)) + w)
+
+
+def _put_row(A: np.ndarray, M: np.ndarray, i: int, row: tuple) -> None:
+    """Set row i of the banded pencil: A to row = (sub, main, super), M to e_i."""
+    A[:, i] = row
+    M[:, i] = 0.0, 1.0, 0.0
 
 
 def _assemble(V: np.ndarray, h: float, nu_left: float,
               nu_right: Optional[float]) -> tuple[sps.csc_matrix, sps.csc_matrix]:
-    """Pencil (A, M) for -u'' + V u = E u with corrected wall rows."""
+    """Pencil (A, M) for -u'' + V u = E u with corrected wall rows.
+
+    A and M are tridiagonal, each filled as a 3 x n band whose column i holds
+    row i's (sub, main, super).  Numerov rows: A = (-1, 2, -1)/h^2 + M diag(V),
+    M = (1, 10, 1)/12.  The first min(16, n//3) rows take the left wall's
+    Frobenius stencil, the last as many the right wall's mirrored (weights
+    reversed); with nu_right None only the last row is replaced, by the plain
+    Dirichlet row at the xi cutoff.  A corrected row has the M row e_i.
+    """
     n = len(V)
     x = h * np.arange(1, n + 1)
-    length = h * (n + 1)
     m_rows = min(_CORRECTED_ROWS, n // 3)
-    K = sps.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-                  [-1, 0, 1]) / h ** 2
-    M = sps.diags([np.full(n - 1, 1 / 12), np.full(n, 10 / 12), np.full(n - 1, 1 / 12)],
-                  [-1, 0, 1], format="lil")
-    A = (K + M @ sps.diags(V)).tolil()
-
-    def correct_row(i: int, dist: float, nu: float, mirrored: bool) -> None:
-        wm, w0, wp = _frobenius_stencil(dist, h, nu)
-        lo, hi = (i + 1, i - 1) if mirrored else (i - 1, i + 1)
-        if 0 <= lo < n:
-            A[i, lo] = -wm
-        A[i, i] = -w0 + V[i]
-        A[i, hi] = -wp
-        M[i, :] = 0.0
-        M[i, i] = 1.0
-
+    c = 1 / h ** 2
+    off = -c + (1 / 12) * V  # entry (i, j), |i - j| = 1, reads V[j]
+    A = np.array([np.r_[0.0, off[:-1]], 2 * c + (10 / 12) * V, np.r_[off[1:], 0.0]])
+    M = np.array([np.full(n, 1 / 12), np.full(n, 10 / 12), np.full(n, 1 / 12)])
     for i in range(m_rows):
-        correct_row(i, x[i], nu_left, mirrored=False)
-    if nu_right is not None:
-        for i in range(n - m_rows, n):
-            correct_row(i, length - x[i], nu_right, mirrored=True)
+        wm, w0, wp = _frobenius_stencil(x[i], h, nu_left)
+        _put_row(A, M, i, (-wm, -w0 + V[i], -wp))
+    if nu_right is None:
+        _put_row(A, M, n - 1, (-c, 2 * c + V[n - 1], 0.0))
     else:
-        A[n - 1, n - 1] = 2.0 / h ** 2 + V[n - 1]
-        A[n - 1, n - 2] = -1.0 / h ** 2
-        M[n - 1, :] = 0.0
-        M[n - 1, n - 1] = 1.0
-    return A.tocsc(), M.tocsc()
+        for i in range(n - m_rows, n):
+            wm, w0, wp = _frobenius_stencil(h * (n + 1) - x[i], h, nu_right)
+            _put_row(A, M, i, (-wp, -w0 + V[i], -wm))
+    return tuple(sps.diags([b[0, 1:], b[1], b[2, :-1]], [-1, 0, 1], format="csc")
+                 for b in (A, M))
 
 
-def _lowest(A: sps.csc_matrix, M: sps.csc_matrix, sigma: float,
-            nev: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs of the pencil via shift-invert Arnoldi.
+def _solve(V: np.ndarray, grid: GridSpec, nu_left: float, nu_right: Optional[float],
+           nev: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Ascending eigenvalues, eigenvector columns and residuals |Av - EMv|/|v|.
 
-    The fixed positive start vector makes repeated solves bit-identical;
-    without it ARPACK starts from a random vector.
+    Shift-invert Arnoldi at V.min() - 1 from a fixed start vector, which makes
+    repeated solves bit-identical, though not on grids under about 64 points.
+    eigs keeps its state, LU factor included, in a reference cycle, freed here.
     """
-    nev = min(nev, A.shape[0] - 2)
-    vals, vecs = spla.eigs(A, k=nev, M=M, sigma=sigma, which="LM",
-                           v0=np.ones(A.shape[0]))
+    A, M = _assemble(V, grid.h, nu_left, nu_right)
+    vals, vecs = spla.eigs(A, k=min(nev, len(V) - 2), M=M, sigma=float(V.min()) - 1.0,
+                           which="LM", v0=np.ones(len(V)))
+    gc.collect(1)
     order = np.argsort(vals.real)
-    return vals.real[order], vecs.real[:, order]
-
-
-def _residuals(A, M, vals, vecs) -> list[float]:
-    out = []
-    for k in range(len(vals)):
-        v = vecs[:, k]
-        out.append(float(np.linalg.norm(A @ v - vals[k] * (M @ v))
-                         / np.linalg.norm(v)))
-    return out
+    vals, vecs = vals.real[order], vecs.real[:, order]
+    res = [float(np.linalg.norm(A @ v - e * (M @ v)) / np.linalg.norm(v))
+           for e, v in zip(vals, vecs.T)]
+    return vals, vecs, res
 
 
 def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
@@ -172,9 +165,8 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
         raise ParameterError("solve_theta needs a theta grid")
     x = grid.nodes()
     V = (L1 ** 2 - 0.25) / np.sin(x) ** 2 + (L0 ** 2 - 0.25) / np.cos(x) ** 2
-    A, M = _assemble(V, grid.h, nu_left=L1 + 0.5, nu_right=L0 + 0.5)
-    vals, vecs = _lowest(A, M, float(V.min()) - 1.0, nev)
-    return EigenResult(tuple(vals), tuple(_residuals(A, M, vals, vecs)), grid)
+    vals, _, res = _solve(V, grid, L1 + 0.5, L0 + 0.5, nev)
+    return EigenResult(tuple(vals), tuple(res), grid)
 
 
 def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
@@ -193,19 +185,15 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
         raise ParameterError("solve_xi needs a xi grid")
     x = grid.nodes()
     V = (a - 0.25) / np.sinh(x) ** 2 - (L2 ** 2 - 0.25) / np.cosh(x) ** 2 + 0.25
-    A, M = _assemble(V, grid.h, nu_left=math.sqrt(a) + 0.5, nu_right=None)
-    vals, vecs = _lowest(A, M, float(V.min()) - 1.0, nev)
-    keep = vals < 0.0
-    vals, vecs = vals[keep], vecs[:, keep]
-    if len(vals):
+    vals, vecs, res = _solve(V, grid, math.sqrt(a) + 0.5, None, nev)
+    bound = int((vals < 0.0).sum())  # ascending, so the bound levels come first
+    if bound:
         v = np.abs(vecs[:, 0]) ** 2
         tail = float(v[int(0.95 * len(v)):].sum() / v.sum())
         if tail > 1e-8:
-            warnings.warn(
-                f"cutoff {grid.cutoff} clips the ground eigenfunction "
-                f"(tail mass {tail:.2e})", TruncationWarning)
-    res = _residuals(A, M, vals, vecs) if len(vals) else []
-    return EigenResult(tuple(vals), tuple(res), grid)
+            warnings.warn(f"cutoff {grid.cutoff} clips the ground eigenfunction "
+                          f"(tail mass {tail:.2e})", TruncationWarning)
+    return EigenResult(tuple(vals[:bound]), tuple(res[:bound]), grid)
 
 
 # Fixed window for sup-norm residuals: fractional wall exponents make high

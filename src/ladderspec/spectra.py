@@ -31,6 +31,7 @@ from .operators import (SHIFTS, LabeledState, OperatorName as O, ParamPoint,
                         apply, apply_word)
 
 HALF = Fraction(1, 2)
+GRAM_REL_TOL = 1e-9  # gram_rank counts singular values above this times the largest
 
 
 class AdmissibilityError(ValueError):
@@ -245,7 +246,7 @@ def gram_matrix(states: list[LabeledState]) -> np.ndarray:
     return g
 
 
-def gram_rank(states: list[LabeledState], rel_tol: float = 1e-9) -> int:
+def gram_rank(states: list[LabeledState]) -> int:
     """Numerical rank of the Gram matrix; a float cross-check of degeneracy."""
     if not states:
         return 0
@@ -253,7 +254,7 @@ def gram_rank(states: list[LabeledState], rel_tol: float = 1e-9) -> int:
     if len(labels) > 1:
         raise ValueError(f"states must share one label, got {labels}")
     sv = np.linalg.svd(gram_matrix(states), compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > GRAM_REL_TOL * sv[0]))
 
 
 def normalize(st: LabeledState) -> tuple[LabeledState, float]:

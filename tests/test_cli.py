@@ -168,6 +168,14 @@ class TestSample:
                              "--word", "A+")
         assert code == 2
 
+    @pytest.mark.parametrize("cutoff", ["-1", "0", "nan", "inf"])
+    def test_cutoff_must_be_finite_and_positive(self, capsys, cutoff):
+        code, out, err = run_cli(capsys, "sample", "--l0", "0", "--l2", "-5",
+                                 "--grid", "2", f"--cutoff={cutoff}")
+        assert code == 2
+        assert out == ""
+        assert "--cutoff" in err and cutoff in err
+
 
 class TestCrosscheck:
     def test_default_grid_passes(self, capsys):
@@ -193,3 +201,27 @@ class TestCrosscheck:
         doc = json.loads(out)
         assert [(lv["energy"], lv["numeric_multiplicity"]) for lv in doc["levels"]] \
             == [("-99/4", 1), ("-35/4", 2), ("-3/4", 3)]
+
+    @pytest.mark.parametrize("cutoff", ["inf", "nan", "0"])
+    def test_cutoff_must_be_finite_and_positive(self, capsys, cutoff):
+        code, out, err = run_cli(capsys, "crosscheck", "--l0", "1", "--l1", "1",
+                                 "--l2", "-6", f"--cutoff={cutoff}")
+        assert code == 2
+        assert out == ""
+        assert "cutoff" in err and cutoff in err
+
+    def test_unmatched_level_is_strict_json_null(self, capsys):
+        # 48 points bind no level near -15/4; the output must still be strict JSON
+        code, out, _ = run_cli(capsys, "crosscheck", "--l0", "1", "--l1", "1",
+                               "--l2", "-6", "--grid", "48")
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["max_abs_diff"] is None
+        level = doc["levels"][0]
+        assert level["energy"] == "-15/4"
+        assert level["numeric"] is None and level["abs_diff"] is None
+        assert level["numeric_multiplicity"] == 0
