@@ -1,9 +1,13 @@
 """CLI surface: outputs, round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ladderspec
 from ladderspec import ParamPoint, bound_spectrum
 from ladderspec.cli import main
 
@@ -12,6 +16,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestStartup:
+    def test_import_and_parser_skip_scipy(self):
+        # scipy is imported by the eigensolver calls, not by the package
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ladderspec.__file__)))
+        code = ("import sys, ladderspec.cli; ladderspec.cli.build_parser(); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
 
 class TestSpectrum:

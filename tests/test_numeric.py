@@ -2,6 +2,7 @@
 
 import gc
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -133,11 +134,36 @@ class TestSolveTheta:
         for _ in range(5):
             l0, l1 = rng.choice(pool), rng.choice(pool)
             r = solve_theta(l0, l1, grid)
-            from fractions import Fraction
             base = 1 + Fraction(l0) + Fraction(l1)
             for n, got in enumerate(r.eigenvalues[:3]):
                 want = float((base + 2 * n) ** 2)
                 assert abs(got - want) / want < 1e-4
+
+    # every pair with a zero coupling, where the potential's minimum is about
+    # -4e5, plus the -1/2 edge of the admissible range
+    @pytest.mark.parametrize("l0, l1", sorted(
+        {(a, "0") for a in ("0", "1/2", "1", "3/2", "2")}
+        | {("0", b) for b in ("1/2", "1", "3/2", "2")}
+        | {("-1/2", "-1/2"), ("-1/2", "0"), ("-1/4", "1/3")}))
+    def test_ladder_levels_at_singular_couplings(self, l0, l1):
+        r = solve_theta(l0, l1, GridSpec("theta", 2000))
+        base = 1 + Fraction(l0) + Fraction(l1)
+        assert len(r.eigenvalues) == 3
+        for n, got in enumerate(r.eigenvalues):
+            want = float((base + 2 * n) ** 2)
+            assert abs(got - want) <= 1e-5 * (want or 1.0)
+
+    def test_complex_ritz_pair_is_not_a_level(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def eigs(A, k, **kw):
+            vals = np.array([9.0, 4.0 + 2.0j, 1.0, 4.0 - 2.0j])
+            return vals, np.ones((A.shape[0], len(vals)), dtype=complex)
+
+        monkeypatch.setattr(spla, "eigs", eigs)
+        r = solve_theta(0, 0, GridSpec("theta", 100), nev=4)
+        assert r.eigenvalues == (1.0, 9.0)
+        assert len(r.residual_norms) == 2
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
