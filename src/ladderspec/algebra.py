@@ -15,15 +15,20 @@ cosh^2-sinh^2 = 1 relate monomials whose exponents differ by even integers.
 Expressions are therefore kept in a partial-fraction normal form in each
 variable pair.  Every rewrite changes exponents by even integers, so each
 exponent splits once into a residue in [0, 2) and an integer offset
-(`_split`); the four residues fix a term's class and only the offsets are
-rewritten.  With X = cos^2, Y = sin^2 the canonical trig factors of a class
-are X^P (P in Z) or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the
-canonical hyperbolic factors are T^S (S in Z) or R^-k (k >= 1).  The
-reduction tables `_trig_table` and `_hyp_table` expand any offset pair into
-canonical factors in closed form, with integer coefficients.  This makes
-structural equality of normalized expressions coincide with equality of
-functions.  That is what allows operator identities to be verified as
-literally empty residuals.
+(`_split`).  A `FunExpr` stores exactly that split: residue class (the four
+residues as eight ints) -> {int offsets (P, Q, R, S): coefficient}, and its
+operations work on the ints.  A product adds the residues once per pair of
+classes (`_class_sum`, which carries into the offsets) and the offsets per
+pair of terms; a derivative is one class shift; sums merge dicts.  With
+X = cos^2, Y = sin^2 the canonical trig factors of a class are X^P (P in Z)
+or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the canonical hyperbolic
+factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
+`_trig_table` and `_hyp_table` expand any offset pair into canonical factors
+in closed form, with integer coefficients.  This makes structural equality
+of normalized expressions coincide with equality of functions.  That is what
+allows operator identities to be verified as literally empty residuals.
+The Fraction exponents of `FunExpr.terms` are built only when that view is
+read.
 
 Coordinates live on the quadrant 0 < theta < pi/2, 0 < xi < infinity, with
 the invariant measure sinh(xi) dtheta dxi used by :func:`inner`.
@@ -32,14 +37,17 @@ the invariant measure sinh(xi) dtheta dxi used by :func:`inner`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
 RationalLike = Union[Fraction, int, str]
+# residues (pn, pd, qn, qd, rn, rd, sn, sd) of (p, q, r, s) mod 2, see _split
+ResidueClass = tuple[int, int, int, int, int, int, int, int]
+Offsets = tuple[int, int, int, int]
+Classes = dict[ResidueClass, dict[Offsets, Fraction]]
 
 
 class DivergenceError(ValueError):
@@ -101,6 +109,29 @@ def _split(e: Fraction) -> tuple[int, int, int]:
     return n - 2 * d * k, d, k
 
 
+def _split_monomial(m: Monomial) -> tuple[ResidueClass, Offsets]:
+    (pn, pd, P), (qn, qd, Q), (rn, rd, R), (sn, sd, S) = map(_split, m.key)
+    return (pn, pd, qn, qd, rn, rd, sn, sd), (P, Q, R, S)
+
+
+@lru_cache(maxsize=None)
+def _exponent(n: int, d: int, k: int, sign: int = 1) -> Fraction:
+    """sign times the exponent n/d + 2k, inverse to `_split`."""
+    return Fraction(sign * (n + 2 * d * k), d)
+
+
+@lru_cache(maxsize=None)
+def _class_sum(a: ResidueClass, b: ResidueClass) -> tuple[ResidueClass, Offsets]:
+    """The residue class of a + b and the offsets it carries (0 or 1 each)."""
+    cls: list[int] = []
+    carry: list[int] = []
+    for i in (0, 2, 4, 6):
+        n, d, k = _split(Fraction(a[i], a[i + 1]) + Fraction(b[i], b[i + 1]))
+        cls += (n, d)
+        carry.append(k)
+    return tuple(cls), tuple(carry)
+
+
 @lru_cache(maxsize=None)
 def _trig_table(P: int, Q: int) -> tuple[tuple[int, int, int], ...]:
     """X^P Y^Q with X = cos^2, Y = sin^2, X + Y = 1, as canonical terms.
@@ -142,116 +173,176 @@ def _hyp_table(R: int, S: int) -> tuple[tuple[int, int, int], ...]:
                  for c, U, Rp in _trig_table(S, R))
 
 
-@dataclass(frozen=True)
+def _expand(acc: dict[Offsets, Fraction], P: int, Q: int, R: int, S: int,
+            c: Fraction) -> None:
+    """Add c X^P Y^Q R^R T^S of one class to `acc` in canonical offsets."""
+    hyp = _hyp_table(R, S)
+    for ct, P2, Q2 in _trig_table(P, Q):
+        for ch, R2, S2 in hyp:
+            k = (P2, Q2, R2, S2)
+            w = ct * ch
+            c2 = c if w == 1 else c * w
+            old = acc.get(k)
+            acc[k] = c2 if old is None else old + c2
+
+
 class FunExpr:
     """Canonical finite sum of monomials.
 
-    Construction reduces every term to the partial-fraction normal form,
-    merges equal exponent tuples, drops zero coefficients and sorts
-    lexicographically on (p, q, r, s).  Within each residue class of
-    (p, q, r, s) mod 2 the canonical terms are X^P or Y^-k (k >= 1) times
-    T^S or R^-k (k >= 1), with X = cos^2, Y = sin^2, T = sinh^2,
-    R = cosh^2 and integer offsets P, S.  Structural equality of the result
-    coincides with equality of the represented functions.
+    `classes` maps each residue class of (p, q, r, s) mod 2 to its terms,
+    {(P, Q, R, S): coefficient}, with nonzero coefficients only.  Within a
+    class the canonical terms are X^P or Y^-k (k >= 1) times T^S or R^-k
+    (k >= 1), with X = cos^2, Y = sin^2, T = sinh^2, R = cosh^2 and integer
+    offsets P, S.  Equal functions have equal `classes`.  `terms` is the
+    same sum as Monomials sorted lexicographically on (p, q, r, s), built
+    on first use.  Instances are immutable by convention.
     """
 
-    terms: tuple[Monomial, ...] = ()
+    __slots__ = ("classes", "_terms")
+
+    def __init__(self, terms: Iterable[Monomial] = ()) -> None:
+        """Wrap `terms` as written, without reducing them (`from_terms`
+        reduces): for terms already in normal form, or to evaluate a sum
+        as written."""
+        self._terms: tuple[Monomial, ...] | None = tuple(terms)
+        self.classes: Classes = {}
+        for m in self._terms:
+            cls, offs = _split_monomial(m)
+            self.classes.setdefault(cls, {})[offs] = m.coeff
+
+    @staticmethod
+    def from_classes(classes: Classes) -> "FunExpr":
+        """Wrap a map whose offsets are canonical, dropping zero terms."""
+        f = object.__new__(FunExpr)
+        f.classes = {}
+        for cls, row in classes.items():
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                f.classes[cls] = row
+        f._terms = None
+        return f
 
     @staticmethod
     def from_terms(terms: Iterable[Monomial]) -> "FunExpr":
-        # keyed by the (n, d, offset) splits of p, q, r, s, see _split
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for t in terms:
-            coeff = t.coeff
-            if not coeff:
-                continue
-            pn, pd, P = _split(t.p)
-            qn, qd, Q = _split(t.q)
-            rn, rd, R = _split(t.r)
-            sn, sd, S = _split(t.s)
-            hyp = _hyp_table(R, S)
-            for ct, P2, Q2 in _trig_table(P, Q):
-                for ch, R2, S2 in hyp:
-                    k = (pn, pd, P2, qn, qd, Q2, rn, rd, R2, sn, sd, S2)
-                    w = ct * ch
-                    c = coeff if w == 1 else coeff * w
-                    old = acc.get(k)
-                    acc[k] = c if old is None else old + c
-        merged = [Monomial(c, Fraction(pn + 2 * pd * P, pd),
-                           Fraction(qn + 2 * qd * Q, qd),
-                           Fraction(rn + 2 * rd * R, rd),
-                           Fraction(sn + 2 * sd * S, sd))
-                  for (pn, pd, P, qn, qd, Q, rn, rd, R, sn, sd, S), c
-                  in acc.items() if c]
-        merged.sort(key=lambda m: m.key)
-        return FunExpr(tuple(merged))
+        acc: Classes = {}
+        for m in terms:
+            if m.coeff:
+                cls, (P, Q, R, S) = _split_monomial(m)
+                _expand(acc.setdefault(cls, {}), P, Q, R, S, m.coeff)
+        return FunExpr.from_classes(acc)
 
     @staticmethod
     def zero() -> "FunExpr":
         return FunExpr()
 
     @property
+    def terms(self) -> tuple[Monomial, ...]:
+        if self._terms is None:
+            out = [Monomial(c, _exponent(pn, pd, P), _exponent(qn, qd, Q),
+                            _exponent(rn, rd, R), _exponent(sn, sd, S))
+                   for (pn, pd, qn, qd, rn, rd, sn, sd), row in self.classes.items()
+                   for (P, Q, R, S), c in row.items()]
+            self._terms = tuple(sorted(out, key=lambda m: m.key))
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.classes
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FunExpr):
+            return NotImplemented
+        return self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash(frozenset((cls, frozenset(row.items()))
+                              for cls, row in self.classes.items()))
+
+    def __repr__(self) -> str:
+        return f"FunExpr(terms={self.terms!r})"
+
+    def _map(self, fn: Callable[[Fraction], Fraction]) -> "FunExpr":
+        return FunExpr.from_classes({cls: {k: fn(c) for k, c in row.items()}
+                                     for cls, row in self.classes.items()})
 
     def __add__(self, other: "FunExpr") -> "FunExpr":
-        return FunExpr.from_terms(self.terms + other.terms)
+        out = {cls: dict(row) for cls, row in self.classes.items()}
+        for cls, row in other.classes.items():
+            acc = out.setdefault(cls, {})
+            for k, c in row.items():
+                old = acc.get(k)
+                acc[k] = c if old is None else old + c
+        return FunExpr.from_classes(out)
 
     def __neg__(self) -> "FunExpr":
-        return FunExpr(tuple(Monomial(-m.coeff, *m.key) for m in self.terms))
+        return self._map(Fraction.__neg__)
 
     def __sub__(self, other: "FunExpr") -> "FunExpr":
         return self + (-other)
 
     def __mul__(self, other: "FunExpr") -> "FunExpr":
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(Monomial(a.coeff * b.coeff, a.p + b.p, a.q + b.q,
-                                    a.r + b.r, a.s + b.s))
-        return FunExpr.from_terms(out)
+        out: Classes = {}
+        for ca, row_a in self.classes.items():
+            for cb, row_b in other.classes.items():
+                cls, (kP, kQ, kR, kS) = _class_sum(ca, cb)
+                acc = out.setdefault(cls, {})
+                for (Pa, Qa, Ra, Sa), x in row_a.items():
+                    Pa, Qa, Ra, Sa = Pa + kP, Qa + kQ, Ra + kR, Sa + kS
+                    for (Pb, Qb, Rb, Sb), y in row_b.items():
+                        _expand(acc, Pa + Pb, Qa + Qb, Ra + Rb, Sa + Sb, x * y)
+        return FunExpr.from_classes(out)
 
     def scale(self, c: RationalLike) -> "FunExpr":
         c = rational(c)
         if c == 0:
             return FunExpr()
-        return FunExpr(tuple(Monomial(m.coeff * c, *m.key) for m in self.terms))
+        return self if c == 1 else self._map(lambda v: v * c)
 
     def shift_exponents(self, dp: RationalLike = 0, dq: RationalLike = 0,
                         dr: RationalLike = 0, ds: RationalLike = 0) -> "FunExpr":
         """Multiply by cos^dp sin^dq cosh^dr sinh^ds."""
-        dp, dq = rational(dp), rational(dq)
-        dr, ds = rational(dr), rational(ds)
-        return FunExpr.from_terms(
-            Monomial(m.coeff, m.p + dp, m.q + dq, m.r + dr, m.s + ds)
-            for m in self.terms)
+        return self * monomial(1, dp, dq, dr, ds)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.classes:
             return "0"
         return " + ".join(str(m) for m in self.terms)
 
 
+def _rule(i: int, sign: int, *shift: int) -> tuple:
+    return (i, sign) + _split_monomial(Monomial(Fraction(1), *map(Fraction, shift)))
+
+
+# d/dtheta cos^p sin^q = -p cos^(p-1) sin^(q+1) + q cos^(p+1) sin^(q-1) and
+# d/dxi cosh^r sinh^s = r cosh^(r-1) sinh^(s+1) + s cosh^(r+1) sinh^(s-1):
+# per term (exponent slot i, its sign, class and offsets of the shift)
+_D_THETA = (_rule(0, -1, -1, 1, 0, 0), _rule(1, 1, 1, -1, 0, 0))
+_D_XI = (_rule(2, 1, 0, 0, -1, 1), _rule(3, 1, 0, 0, 1, -1))
+
+
+def _derivative(f: FunExpr, rules: tuple) -> FunExpr:
+    out: Classes = {}
+    for cls, row in f.classes.items():
+        for i, sign, dcls, doffs in rules:
+            new, carry = _class_sum(cls, dcls)
+            tP, tQ, tR, tS = (a + b for a, b in zip(carry, doffs))
+            n, d = cls[2 * i], cls[2 * i + 1]
+            acc = out.setdefault(new, {})
+            for k, c in row.items():
+                if n or k[i]:
+                    _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS,
+                            c * _exponent(n, d, k[i], sign))
+    return FunExpr.from_classes(out)
+
+
 def d_theta(f: FunExpr) -> FunExpr:
     """Exact d/dtheta: each monomial maps to at most two."""
-    out = []
-    for m in f.terms:
-        if m.p != 0:
-            out.append(Monomial(-m.p * m.coeff, m.p - 1, m.q + 1, m.r, m.s))
-        if m.q != 0:
-            out.append(Monomial(m.q * m.coeff, m.p + 1, m.q - 1, m.r, m.s))
-    return FunExpr.from_terms(out)
+    return _derivative(f, _D_THETA)
 
 
 def d_xi(f: FunExpr) -> FunExpr:
     """Exact d/dxi: each monomial maps to at most two."""
-    out = []
-    for m in f.terms:
-        if m.r != 0:
-            out.append(Monomial(m.r * m.coeff, m.p, m.q, m.r - 1, m.s + 1))
-        if m.s != 0:
-            out.append(Monomial(m.s * m.coeff, m.p, m.q, m.r + 1, m.s - 1))
-    return FunExpr.from_terms(out)
+    return _derivative(f, _D_XI)
 
 
 def _pow(base: float, e: Fraction) -> float:
@@ -264,8 +355,16 @@ def _pow(base: float, e: Fraction) -> float:
     return math.pow(base, float(e))
 
 
+def _require_chart(theta: float, xi: float) -> None:
+    if not (0.0 <= theta <= math.pi / 2 and xi >= 0.0):
+        raise DomainError(f"point (theta={theta}, xi={xi}) is off the chart "
+                          "0 <= theta <= pi/2, xi >= 0")
+
+
 def eval_at(f: FunExpr, theta: float, xi: float) -> float:
-    """Floating evaluation; boundary points only if no negative exponent hits."""
+    """Floating evaluation on the closed quadrant; a wall point only if no
+    negative exponent hits it."""
+    _require_chart(theta, xi)
     ct, st = math.cos(theta), math.sin(theta)
     ch, sh = math.cosh(xi), math.sinh(xi)
     total = 0.0
@@ -277,6 +376,11 @@ def eval_at(f: FunExpr, theta: float, xi: float) -> float:
 
 def eval_grid(f: FunExpr, thetas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on the tensor grid thetas x xis."""
+    thetas, xis = np.asarray(thetas, dtype=float), np.asarray(xis, dtype=float)
+    on_t = (thetas >= 0.0) & (thetas <= math.pi / 2)
+    on_x = xis >= 0.0
+    if not (on_t.all() and on_x.all()):  # argmin finds the first False
+        _require_chart(thetas[np.argmin(on_t)], xis[np.argmin(on_x)])
     ct, st = np.cos(thetas), np.sin(thetas)
     ch, sh = np.cosh(xis), np.sinh(xis)
     out = np.zeros((len(thetas), len(xis)))

@@ -250,9 +250,13 @@ def apply_hamiltonian(st: LabeledState) -> FunExpr:
 
 def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
     kind = "a hyperbolic-variable" if hyperbolic else "a theta-only"
-    for m in f.terms:
-        if (m.p or m.q) if hyperbolic else (m.r or m.s):
-            raise VariableMismatchError(f"{which} operator expects {kind} expression, got {m}")
+    absent = (0, 1) if hyperbolic else (2, 3)  # exponent slots that must be 0
+    for cls, terms in f.classes.items():
+        for k, c in terms.items():
+            if any(cls[2 * i] or k[i] for i in absent):
+                m = FunExpr.from_classes({cls: {k: c}}).terms[0]
+                raise VariableMismatchError(
+                    f"{which} operator expects {kind} expression, got {m}")
 
 
 def apply_separated(which: str, f: FunExpr,
@@ -312,14 +316,14 @@ def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledSta
 def apply_casimir(st: LabeledState) -> FunExpr:
     """Quadratic Casimir: the sum over the families of eps X+X- + 2/3 X^2 - X,
     that is A+A- - B+B- - C+C- + 2/3(A^2+B^2+C^2) - (A+B+C)."""
-    terms: tuple[Monomial, ...] = ()
+    total = FunExpr()
     scalar = Fraction(0)
     for name, fam in _FAMILIES.items():
         up, dn = _BY_KEY[(name, +1, None)], _BY_KEY[(name, -1, None)]
-        terms += apply(up, apply(dn, st)).expr.scale(fam.eps).terms
+        total += apply(up, apply(dn, st)).expr.scale(fam.eps)
         x = diag_eigenvalue(name, st.label)
         scalar += Fraction(2, 3) * x * x - x
-    return FunExpr.from_terms(terms + st.expr.scale(scalar).terms)
+    return total + st.expr.scale(scalar)
 
 
 def hamiltonian_from_casimir(st: LabeledState) -> FunExpr:

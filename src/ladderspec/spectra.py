@@ -124,7 +124,8 @@ def _enter(basis: list[tuple[tuple, dict]], expr: FunExpr) -> bool:
     is the exact dimension of the span.  Each row is 1 at its pivot and 0 at
     the pivots of the rows before it.
     """
-    row = {m.key: m.coeff for m in expr.terms}
+    row = {(cls, k): c for cls, terms in expr.classes.items()
+           for k, c in terms.items()}
     for pivot, prow in basis:
         c = row.get(pivot)
         if c:

@@ -1,12 +1,13 @@
 """Exact monomial calculus: arithmetic, derivatives, evaluation, integrals."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ladderspec import (DivergenceError, FunExpr, d_theta, d_xi, eval_at,
+from ladderspec import (DivergenceError, DomainError, FunExpr, d_theta, d_xi, eval_at,
                         eval_grid, inner, integral, is_normalizable, monomial,
                         norm_squared)
 from ladderspec.algebra import Monomial, rational
@@ -134,6 +135,24 @@ class TestEval:
     def test_symmetry_point(self):
         v = eval_at(monomial(1, "1/2", "1/2"), math.pi / 4, 1.0)
         assert v == pytest.approx(2 ** -0.5)
+
+    @pytest.mark.parametrize("theta, xi", [(2.0, 1.0), (-0.1, 1.0),
+                                           (0.5, -0.1), (math.nan, 1.0)])
+    def test_off_chart_is_a_domain_error(self, theta, xi):
+        f = monomial(1, "1/2")
+        point = re.escape(f"(theta={theta}, xi={xi})")
+        with pytest.raises(DomainError, match=point):
+            eval_at(f, theta, xi)
+        with pytest.raises(DomainError, match=point):
+            eval_grid(f, np.array([theta, 0.3]), np.array([xi, 1.0]))
+
+    def test_wall_with_nonnegative_exponent(self):
+        f = monomial(1, "1/2", "1/2", 0, 1)
+        assert eval_at(f, 0.0, 1.0) == 0.0
+        assert eval_at(f, 0.5, 0.0) == 0.0
+        assert eval_at(f, math.pi / 2, 1.0) == pytest.approx(0.0, abs=1e-8)
+        grid = eval_grid(f, np.array([0.0, math.pi / 2]), np.array([0.0, 1.0]))
+        assert np.all(np.isfinite(grid)) and grid[0, 1] == 0.0
 
     def test_grid_matches_pointwise(self, rng):
         f = random_expr(rng)

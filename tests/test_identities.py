@@ -1,5 +1,7 @@
 """The seeded identity suite and its corruption control."""
 
+import re
+
 import pytest
 
 from ladderspec import LabeledState, OperatorName, apply, run_suite
@@ -34,6 +36,21 @@ def test_corrupted_operator_detected():
 
     results = run_suite(seed=0, probes=3, apply_fn=corrupted)
     assert any(not r.passed for r in results)
+
+
+def test_failing_rows_render_their_residuals():
+    def corrupted(op, st):
+        out = apply(op, st)
+        if op is O.B_PLUS:
+            return LabeledState(out.label, out.expr.scale(2))
+        return out
+
+    results = run_suite(seed=0, probes=3, apply_fn=corrupted)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert any(d.startswith("residual ") for d in failed.values()), failed
+    bracket = failed["[A-,B+] = C+"]
+    assert re.fullmatch(r"residual \S+( \+ \S+)* on probe at \(\S+, \S+, \S+\)",
+                        bracket), bracket
 
 
 def test_every_bracket_individually(rng):

@@ -4,6 +4,10 @@
 below reaches the same normal form the slow way: a worklist that applies one
 two-term identity (sin^2 = 1 - cos^2, 1 = cos^2 + sin^2, cosh^2 = 1 + sinh^2,
 ...) per step until no rule fires.  Both must give identical terms.
+
+The arithmetic and the derivatives work on residue classes and integer
+offsets.  Their oracles are the earlier Monomial-level versions, which
+rebuild Fraction exponents term by term and normalize with `from_terms`.
 """
 
 import math
@@ -13,8 +17,8 @@ from typing import Optional
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ladderspec import FunExpr, eval_at
-from ladderspec.algebra import Monomial
+from ladderspec import FunExpr, d_theta, d_xi, eval_at
+from ladderspec.algebra import Monomial, rational
 
 
 # --- reference oracle: the stepwise reducer -------------------------------
@@ -133,3 +137,110 @@ def test_eval_of_raw_terms_agrees(terms, theta, xi):
                 for m in raw.terms + f.terms)
     assert abs(eval_at(raw, theta, xi) - eval_at(f, theta, xi)) \
         <= 1e-10 * max(scale, 1.0)
+
+
+# --- reference oracles: the Monomial-level arithmetic ----------------------
+
+def oracle_add(self, other):
+    return FunExpr.from_terms(self.terms + other.terms)
+
+
+def oracle_neg(self):
+    return FunExpr(tuple(Monomial(-m.coeff, *m.key) for m in self.terms))
+
+
+def oracle_mul(self, other):
+    out = []
+    for a in self.terms:
+        for b in other.terms:
+            out.append(Monomial(a.coeff * b.coeff, a.p + b.p, a.q + b.q,
+                                a.r + b.r, a.s + b.s))
+    return FunExpr.from_terms(out)
+
+
+def oracle_scale(self, c):
+    c = rational(c)
+    if c == 0:
+        return FunExpr()
+    return FunExpr(tuple(Monomial(m.coeff * c, *m.key) for m in self.terms))
+
+
+def oracle_shift_exponents(self, dp=0, dq=0, dr=0, ds=0):
+    dp, dq = rational(dp), rational(dq)
+    dr, ds = rational(dr), rational(ds)
+    return FunExpr.from_terms(
+        Monomial(m.coeff, m.p + dp, m.q + dq, m.r + dr, m.s + ds)
+        for m in self.terms)
+
+
+def oracle_d_theta(f):
+    out = []
+    for m in f.terms:
+        if m.p != 0:
+            out.append(Monomial(-m.p * m.coeff, m.p - 1, m.q + 1, m.r, m.s))
+        if m.q != 0:
+            out.append(Monomial(m.q * m.coeff, m.p + 1, m.q - 1, m.r, m.s))
+    return FunExpr.from_terms(out)
+
+
+def oracle_d_xi(f):
+    out = []
+    for m in f.terms:
+        if m.r != 0:
+            out.append(Monomial(m.r * m.coeff, m.p, m.q, m.r - 1, m.s + 1))
+        if m.s != 0:
+            out.append(Monomial(m.s * m.coeff, m.p, m.q, m.r + 1, m.s - 1))
+    return FunExpr.from_terms(out)
+
+
+exprs = term_lists.map(FunExpr.from_terms)
+rationals = st.fractions(-9, 9, max_denominator=6)
+
+
+def assert_same(f, g):
+    assert f == g
+    assert f.terms == g.terms
+
+
+@given(exprs, exprs)
+def test_add_matches_oracle(a, b):
+    assert_same(a + b, oracle_add(a, b))
+    assert_same(a - a, FunExpr())
+
+
+@given(exprs)
+def test_neg_matches_oracle(f):
+    assert_same(-f, oracle_neg(f))
+
+
+@given(small_exprs, small_exprs)
+def test_mul_matches_oracle(a, b):
+    assert_same(a * b, oracle_mul(a, b))
+
+
+@given(exprs, rationals)
+def test_scale_matches_oracle(f, c):
+    assert_same(f.scale(c), oracle_scale(f, c))
+    assert_same(f.scale(0), oracle_scale(f, 0))
+    assert_same(f.scale(1), oracle_scale(f, 1))
+
+
+@given(exprs, st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4,
+                       max_size=4))
+def test_shift_exponents_matches_oracle(f, shift):
+    assert_same(f.shift_exponents(*shift), oracle_shift_exponents(f, *shift))
+
+
+@given(exprs)
+def test_derivatives_match_oracle(f):
+    assert_same(d_theta(f), oracle_d_theta(f))
+    assert_same(d_xi(f), oracle_d_xi(f))
+
+
+@given(exprs, exprs)
+def test_eq_and_hash_agree_with_terms(a, b):
+    assert (a == b) == (a.terms == b.terms)
+    same = FunExpr.from_terms(reversed(a.terms))
+    assert same == a and hash(same) == hash(a)
+    assert FunExpr.from_terms(a.terms) == a
+    assert FunExpr(a.terms) == a  # canonical terms wrap unchanged
