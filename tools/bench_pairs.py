@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 2001 \
-        --out BENCH_9.json
+        --out BENCH_<n>.json
 
 The parent revision's committed files are extracted with ``git archive``
 into a temporary directory, which is removed afterwards.  For pair i and
