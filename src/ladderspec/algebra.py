@@ -123,13 +123,9 @@ def _exponent(n: int, d: int, k: int, sign: int = 1) -> Fraction:
 @lru_cache(maxsize=None)
 def _class_sum(a: ResidueClass, b: ResidueClass) -> tuple[ResidueClass, Offsets]:
     """The residue class of a + b and the offsets it carries (0 or 1 each)."""
-    cls: list[int] = []
-    carry: list[int] = []
-    for i in (0, 2, 4, 6):
-        n, d, k = _split(Fraction(a[i], a[i + 1]) + Fraction(b[i], b[i + 1]))
-        cls += (n, d)
-        carry.append(k)
-    return tuple(cls), tuple(carry)
+    splits = [_split(Fraction(a[i], a[i + 1]) + Fraction(b[i], b[i + 1]))
+              for i in (0, 2, 4, 6)]
+    return tuple(x for n, d, _ in splits for x in (n, d)), tuple(k for *_, k in splits)
 
 
 @lru_cache(maxsize=None)
@@ -190,37 +186,41 @@ class FunExpr:
     """Canonical finite sum of monomials.
 
     `classes` maps each residue class of (p, q, r, s) mod 2 to its terms,
-    {(P, Q, R, S): coefficient}, with nonzero coefficients only.  Within a
-    class the canonical terms are X^P or Y^-k (k >= 1) times T^S or R^-k
-    (k >= 1), with X = cos^2, Y = sin^2, T = sinh^2, R = cosh^2 and integer
-    offsets P, S.  Equal functions have equal `classes`.  `terms` is the
-    same sum as Monomials sorted lexicographically on (p, q, r, s), built
-    on first use.  Instances are immutable by convention.
+    {(P, Q, R, S): coefficient}; all but raw `FunExpr(terms)` keep nonzero
+    coefficients only.  Within a class the canonical terms are X^P or Y^-k
+    (k >= 1) times T^S or R^-k (k >= 1), with X = cos^2, Y = sin^2,
+    T = sinh^2, R = cosh^2 and integer offsets P, S.  Equal functions have
+    equal `classes`.  `terms` is the same sum as Monomials sorted
+    lexicographically on (p, q, r, s), built on first use.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("classes", "_terms")
 
     def __init__(self, terms: Iterable[Monomial] = ()) -> None:
         """Wrap `terms` as written, without reducing them (`from_terms`
-        reduces): for terms already in normal form, or to evaluate a sum
-        as written."""
+        reduces).  `terms` reads them back unchanged and `classes` holds
+        their sum; arithmetic, `==` and `hash` read `classes`, so they are
+        exact only for terms already in normal form."""
         self._terms: tuple[Monomial, ...] | None = tuple(terms)
         self.classes: Classes = {}
         for m in self._terms:
             cls, offs = _split_monomial(m)
-            self.classes.setdefault(cls, {})[offs] = m.coeff
+            row = self.classes.setdefault(cls, {})
+            row[offs] = row.get(offs, 0) + m.coeff
 
     @staticmethod
     def from_classes(classes: Classes) -> "FunExpr":
-        """Wrap a map whose offsets are canonical, dropping zero terms."""
+        """Wrap a map with canonical offsets and no zero coefficients."""
         f = object.__new__(FunExpr)
-        f.classes = {}
-        for cls, row in classes.items():
-            row = {k: c for k, c in row.items() if c}
-            if row:
-                f.classes[cls] = row
-        f._terms = None
+        f.classes, f._terms = classes, None
         return f
+
+    @staticmethod
+    def _pruned(acc: Classes) -> "FunExpr":
+        """`from_classes` of a sum that may have cancelled: drops zeros."""
+        rows = ((cls, {k: c for k, c in row.items() if c}) for cls, row in acc.items())
+        return FunExpr.from_classes({cls: row for cls, row in rows if row})
 
     @staticmethod
     def from_terms(terms: Iterable[Monomial]) -> "FunExpr":
@@ -229,7 +229,7 @@ class FunExpr:
             if m.coeff:
                 cls, (P, Q, R, S) = _split_monomial(m)
                 _expand(acc.setdefault(cls, {}), P, Q, R, S, m.coeff)
-        return FunExpr.from_classes(acc)
+        return FunExpr._pruned(acc)
 
     @staticmethod
     def zero() -> "FunExpr":
@@ -272,7 +272,7 @@ class FunExpr:
             for k, c in row.items():
                 old = acc.get(k)
                 acc[k] = c if old is None else old + c
-        return FunExpr.from_classes(out)
+        return FunExpr._pruned(out)
 
     def __neg__(self) -> "FunExpr":
         return self._map(Fraction.__neg__)
@@ -290,7 +290,7 @@ class FunExpr:
                     Pa, Qa, Ra, Sa = Pa + kP, Qa + kQ, Ra + kR, Sa + kS
                     for (Pb, Qb, Rb, Sb), y in row_b.items():
                         _expand(acc, Pa + Pb, Qa + Qb, Ra + Rb, Sa + Sb, x * y)
-        return FunExpr.from_classes(out)
+        return FunExpr._pruned(out)
 
     def scale(self, c: RationalLike) -> "FunExpr":
         c = rational(c)
@@ -332,7 +332,7 @@ def _derivative(f: FunExpr, rules: tuple) -> FunExpr:
                 if n or k[i]:
                     _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS,
                             c * _exponent(n, d, k[i], sign))
-    return FunExpr.from_classes(out)
+    return FunExpr._pruned(out)
 
 
 def d_theta(f: FunExpr) -> FunExpr:

@@ -244,3 +244,12 @@ def test_eq_and_hash_agree_with_terms(a, b):
     assert same == a and hash(same) == hash(a)
     assert FunExpr.from_terms(a.terms) == a
     assert FunExpr(a.terms) == a  # canonical terms wrap unchanged
+
+
+@given(exprs, exprs)
+def test_raw_duplicate_terms_are_summed(a, b):
+    doubled = FunExpr(a.terms + a.terms)
+    assert doubled.terms == a.terms + a.terms  # the view keeps them as written
+    assert doubled == a.scale(2) and hash(doubled) == hash(a.scale(2))
+    assert_same(doubled + b, oracle_add(doubled, b))
+    assert_same(FunExpr(a.terms + (-a).terms) + b, b)

@@ -8,9 +8,10 @@ Run from the repository root:
 The parent revision's committed files are extracted with ``git archive``
 into a temporary directory, which is removed afterwards.  For pair i and
 each workload of BENCHMARK.json, ``perfbench/run.py --workload W --seed
-(seed + i) --seconds S --trace 0`` runs once in the parent tree and once in
-the working tree, one run at a time; even pairs start with the parent, odd
-pairs with the change.  The output holds, per workload and end-to-end
+(seed + i) --seconds S --trace 0``, with S the ``run_seconds`` of
+BENCHMARK.json, runs once in the parent tree and once in the working tree,
+one run at a time; even pairs start with the parent, odd pairs with the
+change.  The output holds, per workload and end-to-end
 metric, both sides' runs with their median and quartiles and the number of
 pairs the change won; the failed and attempted op counts and whether every
 run was correct; both git SHAs, the Python version and the core count.
@@ -63,8 +64,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", default="HEAD~1", help="parent revision")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of pair 0")
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workloads", nargs="*", help="default: all in BENCHMARK.json")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -73,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     root = git("rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     # a terminated run still removes its temporary parent tree
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for w in workloads:
                 for side in order:
-                    res = run_once(trees[side], w, args.seed + i, args.seconds)
+                    res = run_once(trees[side], w, args.seed + i, seconds)
                     runs[w][side].append(res)
                     print(f"pair {i} {w} {side}: " + ", ".join(
                         f"{k} {v['value']:.4g}" for k, v in res["metrics"].items()),
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
                                     cwd=root)),
            "python": platform.python_version(), "nproc": os.cpu_count(),
            "pairs": args.pairs, "seeds": [args.seed, args.seed + args.pairs - 1],
-           "seconds": args.seconds, "command": "python3 perfbench/run.py "
+           "seconds": seconds, "command": "python3 perfbench/run.py "
            "--workload W --seed N --seconds S --trace 0", "workloads": {}}
     for w in workloads:
         entry = {side: {"attempted": sum(r["attempted"] for r in runs[w][side]),
