@@ -123,9 +123,13 @@ def _exponent(n: int, d: int, k: int, sign: int = 1) -> Fraction:
 @lru_cache(maxsize=None)
 def _class_sum(a: ResidueClass, b: ResidueClass) -> tuple[ResidueClass, Offsets]:
     """The residue class of a + b and the offsets it carries (0 or 1 each)."""
-    splits = [_split(Fraction(a[i], a[i + 1]) + Fraction(b[i], b[i + 1]))
-              for i in (0, 2, 4, 6)]
-    return tuple(x for n, d, _ in splits for x in (n, d)), tuple(k for *_, k in splits)
+    cls: list[int] = []
+    carry: list[int] = []
+    for i in (0, 2, 4, 6):
+        n, d, k = _split(Fraction(a[i], a[i + 1]) + Fraction(b[i], b[i + 1]))
+        cls += (n, d)
+        carry.append(k)
+    return tuple(cls), tuple(carry)
 
 
 @lru_cache(maxsize=None)
