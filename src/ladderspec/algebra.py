@@ -367,9 +367,9 @@ def _require_chart(theta: float, xi: float) -> None:
 
 def eval_at(f: FunExpr, theta: float, xi: float) -> float:
     """Floating evaluation on the closed quadrant; a wall point only if no
-    negative exponent hits it."""
+    negative exponent hits it.  cos is exactly 0 at theta = pi/2, not 6e-17."""
     _require_chart(theta, xi)
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = (0.0 if theta == math.pi / 2 else math.cos(theta)), math.sin(theta)
     ch, sh = math.cosh(xi), math.sinh(xi)
     total = 0.0
     for m in f.terms:
@@ -385,7 +385,7 @@ def eval_grid(f: FunExpr, thetas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     on_x = xis >= 0.0
     if not (on_t.all() and on_x.all()):  # argmin finds the first False
         _require_chart(thetas[np.argmin(on_t)], xis[np.argmin(on_x)])
-    ct, st = np.cos(thetas), np.sin(thetas)
+    ct, st = np.where(thetas == math.pi / 2, 0.0, np.cos(thetas)), np.sin(thetas)
     ch, sh = np.cosh(xis), np.sinh(xis)
     out = np.zeros((len(thetas), len(xis)))
     for m in f.terms:

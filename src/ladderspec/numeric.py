@@ -17,20 +17,16 @@ potential (in the form coded below).
 
 from __future__ import annotations
 
-import gc
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .algebra import RationalLike, eval_grid
 from .operators import LabeledState
-
-if TYPE_CHECKING:
-    import scipy.sparse as sps
 
 
 def _to_float(x) -> float:
@@ -103,7 +99,7 @@ def _put_row(A: np.ndarray, M: np.ndarray, i: int, row: tuple) -> None:
 
 
 def _assemble(V: np.ndarray, h: float, nu_left: float,
-              nu_right: Optional[float]) -> tuple[sps.csc_matrix, sps.csc_matrix]:
+              nu_right: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """Pencil (A, M) for -u'' + V u = E u with corrected wall rows.
 
     A and M are tridiagonal, each filled as a 3 x n band whose column i holds
@@ -113,8 +109,6 @@ def _assemble(V: np.ndarray, h: float, nu_left: float,
     reversed); with nu_right None only the last row is replaced, by the plain
     Dirichlet row at the xi cutoff.  A corrected row has the M row e_i.
     """
-    import scipy.sparse as sps  # here, so importing the package skips scipy
-
     n = len(V)
     x = h * np.arange(1, n + 1)
     m_rows = min(_CORRECTED_ROWS, n // 3)
@@ -131,31 +125,44 @@ def _assemble(V: np.ndarray, h: float, nu_left: float,
         for i in range(n - m_rows, n):
             wm, w0, wp = _frobenius_stencil(h * (n + 1) - x[i], h, nu_right)
             _put_row(A, M, i, (-wp, -w0 + V[i], -wm))
-    return tuple(sps.diags([b[0, 1:], b[1], b[2, :-1]], [-1, 0, 1], format="csc")
-                 for b in (A, M))
+    return A, M
+
+
+def _band_mul(B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The product B v for a 3 x n band B as _assemble returns it."""
+    out = B[1] * v
+    out[1:] += B[0, 1:] * v[:-1]
+    out[:-1] += B[2, :-1] * v[1:]
+    return out
 
 
 def _solve(V: np.ndarray, grid: GridSpec, nu_left: float, nu_right: Optional[float],
            nev: int, sigma: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Ascending real eigenvalues, eigenvector columns and |Av - EMv|/|v|.
 
-    Shift-invert Arnoldi at sigma, which must lie below the wanted levels,
-    from a fixed start vector; that makes repeated solves bit-identical,
-    though not on grids under about 64 points.  The Frobenius rows make the
-    pencil non-symmetric, so a Ritz value with a nonzero imaginary part is
-    dropped rather than reported as a level.  eigs keeps its state, LU
-    factor included, in a reference cycle, freed here.
+    Shift-invert Arnoldi at sigma, which must lie below the wanted levels:
+    A - sigma M is factored once (LAPACK gttrf; singular raises), ARPACK's
+    standard mode finds the largest nu of (A - sigma M)^-1 M from a fixed
+    start vector, and each gives the level sigma + 1/nu.  The Frobenius rows
+    make the pencil non-symmetric, so a Ritz value with a nonzero imaginary
+    part is dropped rather than reported as a level.
     """
-    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.sparse.linalg import LinearOperator, eigs
 
+    n = len(V)
     A, M = _assemble(V, grid.h, nu_left, nu_right)
-    vals, vecs = spla.eigs(A, k=min(nev, len(V) - 2), M=M, sigma=sigma,
-                           which="LM", v0=np.ones(len(V)))
-    gc.collect(1)
+    S = A - sigma * M
+    *lu, info = dgttrf(S[0, 1:], S[1], S[2, :-1])
+    if info:
+        raise ParameterError(f"shift {sigma} is an eigenvalue of the pencil")
+    op = LinearOperator((n, n), lambda v: dgttrs(*lu, _band_mul(M, v))[0], dtype=float)
+    nu, vecs = eigs(op, k=min(nev, n - 2), which="LM", v0=np.ones(n))
+    vals = sigma + 1 / nu
     real = np.flatnonzero(vals.imag == 0.0)
     order = real[np.argsort(vals.real[real])]
     vals, vecs = vals.real[order], vecs.real[:, order]
-    res = [float(np.linalg.norm(A @ v - e * (M @ v)) / np.linalg.norm(v))
+    res = [float(np.linalg.norm(_band_mul(A, v) - e * _band_mul(M, v)) / np.linalg.norm(v))
            for e, v in zip(vals, vecs.T)]
     return vals, vecs, res
 
@@ -185,7 +192,8 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
 
     Solves -g'' - coth g' - (l2^2-1/4)/cosh^2 g + alpha/sinh^2 g = E g via the
     sinh^(1/2) similarity transform.  Only E < 0 entries are reported; the
-    list is empty when the channel binds nothing.
+    list is empty when the channel binds nothing.  While all nev values come
+    back real and negative, nev doubles (up to n - 2), so none is cut off.
     """
     L2 = _to_float(l2)
     a = float(alpha)
@@ -201,6 +209,8 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
     # up to 5e-4 relative.
     vals, vecs, res = _solve(V, grid, math.sqrt(a) + 0.5, None, nev,
                              sigma=float(V.min()) - 1.0)
+    if len(vals) == nev < grid.n - 2 and vals[-1] < 0.0:
+        return solve_xi(l2, alpha, grid, min(2 * nev, grid.n - 2))
     bound = int((vals < 0.0).sum())  # ascending, so the bound levels come first
     if bound:
         v = np.abs(vecs[:, 0]) ** 2

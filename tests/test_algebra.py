@@ -154,6 +154,15 @@ class TestEval:
         grid = eval_grid(f, np.array([0.0, math.pi / 2]), np.array([0.0, 1.0]))
         assert np.all(np.isfinite(grid)) and grid[0, 1] == 0.0
 
+    def test_negative_cos_exponent_at_right_angle_is_a_domain_error(self):
+        # cos(pi/2) is 6.1e-17 in floats; the wall is exact, as at theta = 0
+        with pytest.raises(DomainError, match="negative exponent"):
+            eval_at(monomial(1, "-1/2"), math.pi / 2, 1.0)
+
+    def test_grid_with_negative_cos_exponent_at_right_angle_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="negative exponent"):
+            eval_grid(monomial(1, "-1/2"), np.array([0.3, math.pi / 2]), np.array([1.0]))
+
     def test_grid_matches_pointwise(self, rng):
         f = random_expr(rng)
         ths = np.linspace(0.2, 1.3, 7)

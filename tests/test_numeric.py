@@ -7,11 +7,13 @@ from typing import Optional
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sps
 
 from ladderspec import (EigenResult, GridSpec, ParameterError, ground_full,
                         residual_on_grid, solve_theta, solve_xi)
-from ladderspec.numeric import _CORRECTED_ROWS, _assemble
+from ladderspec import numeric
+from ladderspec.numeric import _CORRECTED_ROWS, _assemble, _solve
 
 
 class TestGridSpec:
@@ -112,9 +114,59 @@ class TestAssemble:
     def _check(V, h, nu_left, nu_right):
         A, M = _assemble(V, h, nu_left, nu_right)
         A_ref, M_ref = reference_assemble(V, h, nu_left, nu_right)
-        assert A.format == M.format == "csc"
-        assert (A != A_ref).nnz == 0
-        assert (M != M_ref).nnz == 0
+        assert A.shape == M.shape == (3, len(V))
+        assert (expand_band(A) != A_ref).nnz == 0
+        assert (expand_band(M) != M_ref).nnz == 0
+
+
+def expand_band(B: np.ndarray) -> sps.csc_matrix:
+    """The tridiagonal matrix of a 3 x n band whose column i is row i."""
+    return sps.diags([B[0, 1:], B[1], B[2, :-1]], [-1, 0, 1], format="csc")
+
+
+def theta_case(n: int, l0: float = 0.5, l1: float = 1.5):
+    """Potential, grid and _solve arguments as solve_theta builds them."""
+    grid = GridSpec("theta", n)
+    x = grid.nodes()
+    V = (l1 ** 2 - 0.25) / np.sin(x) ** 2 + (l0 ** 2 - 0.25) / np.cos(x) ** 2
+    return V, grid, l1 + 0.5, l0 + 0.5, -1.0
+
+
+def xi_case(n: int, l2: float = -5.0, alpha: float = 1.0):
+    """Potential, grid and _solve arguments as solve_xi builds them."""
+    grid = GridSpec("xi", n, cutoff=25.0)
+    x = grid.nodes()
+    V = (alpha - 0.25) / np.sinh(x) ** 2 - (l2 ** 2 - 0.25) / np.cosh(x) ** 2 + 0.25
+    return V, grid, math.sqrt(alpha) + 0.5, None, float(V.min()) - 1.0
+
+
+class TestSolveAgainstDense:
+    @pytest.mark.parametrize("n", [64, 200])
+    @pytest.mark.parametrize("case", [theta_case, xi_case])
+    def test_levels_match_dense_pencil(self, n, case):
+        # the real ones among the nev eigenvalues of the dense pencil nearest
+        # the shift, from the reference assembly, are the levels _solve must
+        # return; at xi, n = 64 the nearest two are a complex pair
+        V, grid, nu_left, nu_right, sigma = case(n)
+        nev = 4
+        vals, vecs, res = _solve(V, grid, nu_left, nu_right, nev, sigma)
+        A, M = reference_assemble(V, grid.h, nu_left, nu_right)
+        dense = scipy.linalg.eigvals(A.toarray(), M.toarray())
+        nearest = dense[np.argsort(np.abs(dense - sigma))[:nev]]
+        want = np.sort(nearest[nearest.imag == 0.0].real)
+        assert len(want) >= 2 and vecs.shape == (n, len(want))
+        np.testing.assert_allclose(vals, want, rtol=1e-9)
+        for e, v, r in zip(vals, vecs.T, res):
+            want = np.linalg.norm(A @ v - e * (M @ v)) / np.linalg.norm(v)
+            assert r == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_singular_shifted_pencil_raises(self, monkeypatch):
+        V, grid, nu_left, nu_right, _ = xi_case(64)
+        _, M = _assemble(V, grid.h, nu_left, nu_right)
+        # A = M makes A - 1 M exactly zero
+        monkeypatch.setattr(numeric, "_assemble", lambda *args: (M, M))
+        with pytest.raises(ParameterError, match="shift 1.0"):
+            _solve(V, grid, nu_left, nu_right, 4, 1.0)
 
 
 class TestSolveTheta:
@@ -157,7 +209,8 @@ class TestSolveTheta:
         import scipy.sparse.linalg as spla
 
         def eigs(A, k, **kw):
-            vals = np.array([9.0, 4.0 + 2.0j, 1.0, 4.0 - 2.0j])
+            # shift-invert Ritz values nu = 1/(lambda - sigma), sigma = -1
+            vals = 1 / (np.array([9.0, 4.0 + 2.0j, 1.0, 4.0 - 2.0j]) + 1.0)
             return vals, np.ones((A.shape[0], len(vals)), dtype=complex)
 
         monkeypatch.setattr(spla, "eigs", eigs)
@@ -205,6 +258,14 @@ class TestSolveXi:
         assert abs(solve_xi(-5, 1.0, grid).eigenvalues[0] + 35 / 4) < 1e-3
         assert abs(solve_xi(-5, 9.0, grid).eigenvalues[0] + 3 / 4) < 1e-3
 
+    def test_deep_channel_reports_every_bound_level(self):
+        # (-21, alpha = 1) binds 10 levels, more than the first solve's
+        # nev = 8; the two shallowest are the ladder's -35/4 and -3/4
+        r = solve_xi(-21, 1.0, GridSpec("xi", 6000, cutoff=25.0))
+        assert len(r.eigenvalues) == 10
+        assert abs(r.eigenvalues[-2] + 35 / 4) < 1e-3
+        assert abs(r.eigenvalues[-1] + 3 / 4) < 1e-3
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ParameterError):
             solve_xi(-5, 0.0, GridSpec("xi", 100))
@@ -228,8 +289,8 @@ class TestSolveXi:
         assert [v.hex() for v in a] == [v.hex() for v in b]
 
     def test_solve_frees_the_arpack_state(self):
-        # eigs keeps its state in a reference cycle; with automatic collection
-        # off, only the solver's own collection can free it
+        # with automatic collection off, no reference cycle may keep ARPACK's
+        # state, or a factor it holds, alive after the solve
         gc.collect()
         gc.disable()
         try:
