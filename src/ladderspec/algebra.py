@@ -27,8 +27,9 @@ factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
 in closed form, with integer coefficients.  This makes structural equality
 of normalized expressions coincide with equality of functions.  That is what
 allows operator identities to be verified as literally empty residuals.
-The Fraction exponents of `FunExpr.terms` are built only when that view is
-read.
+The convergence checks read the classes too (`_divergence`).  The Fraction
+exponents of `FunExpr.terms` are built only when that view is read: for
+printing, evaluation and the float sum of `integral`.
 
 Coordinates live on the quadrant 0 < theta < pi/2, 0 < xi < infinity, with
 the invariant measure sinh(xi) dtheta dxi used by :func:`inner`.
@@ -118,6 +119,14 @@ def _split_monomial(m: Monomial) -> tuple[ResidueClass, Offsets]:
 def _exponent(n: int, d: int, k: int, sign: int = 1) -> Fraction:
     """sign times the exponent n/d + 2k, inverse to `_split`."""
     return Fraction(sign * (n + 2 * d * k), d)
+
+
+def _monomial(cls: ResidueClass, offs: Offsets, c: Fraction) -> Monomial:
+    """The term c * X^P Y^Q R^R T^S of class `cls` as a Monomial."""
+    pn, pd, qn, qd, rn, rd, sn, sd = cls
+    P, Q, R, S = offs
+    return Monomial(c, _exponent(pn, pd, P), _exponent(qn, qd, Q),
+                    _exponent(rn, rd, R), _exponent(sn, sd, S))
 
 
 @lru_cache(maxsize=None)
@@ -242,10 +251,8 @@ class FunExpr:
     @property
     def terms(self) -> tuple[Monomial, ...]:
         if self._terms is None:
-            out = [Monomial(c, _exponent(pn, pd, P), _exponent(qn, qd, Q),
-                            _exponent(rn, rd, R), _exponent(sn, sd, S))
-                   for (pn, pd, qn, qd, rn, rd, sn, sd), row in self.classes.items()
-                   for (P, Q, R, S), c in row.items()]
+            out = [_monomial(cls, offs, c) for cls, row in self.classes.items()
+                   for offs, c in row.items()]
             self._terms = tuple(sorted(out, key=lambda m: m.key))
         return self._terms
 
@@ -402,66 +409,67 @@ def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
-def _check_walls(m: Monomial) -> None:
-    # wall exponents are intrinsic data of the normal form, so a per-term
-    # check decides true convergence at theta = 0, pi/2 and xi = 0
-    if not m.q > -1:
-        raise DivergenceError(f"sin exponent q={m.q} <= -1 in term {m}")
-    if not m.p > -1:
-        raise DivergenceError(f"cos exponent p={m.p} <= -1 in term {m}")
-    if not m.s > -2:
-        raise DivergenceError(f"sinh exponent s={m.s} <= -2 in term {m}")
+# per wall of int f sinh(xi) dtheta dxi: exponent slot, names, and the bound
+# the exponent must exceed (sin at theta = 0, cos at pi/2, sinh at xi = 0)
+_WALLS = ((1, "sin", "q", -1), (0, "cos", "p", -1), (3, "sinh", "s", -2))
 
 
-def _gen_binomial(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= (x - j)
-        out /= (j + 1)
-    return out
-
-
-def _slot_coefficient(f: FunExpr, gamma: Fraction) -> FunExpr:
-    """Theta-profile of the e^(gamma*xi) term in the large-xi expansion.
+def _growth_profiles(f: FunExpr, k: int) -> dict[Fraction, Classes]:
+    """Theta-profiles of the slots e^(gamma*xi), k*gamma >= -1, of large xi.
 
     cosh^r sinh^s = 2^-(r+s) e^((r+s) xi) (1+u)^r (1-u)^s with u = e^(-2 xi),
-    so the term contributes at gamma = r+s-2k with weight 2^-(r+s) times a
-    rational binomial convolution.  Terms meeting one slot share r+s mod 2,
+    so a term contributes c*w_j/4^j at gamma = r+s-2j, with w_j the u^j
+    coefficient of (1+u)^r (1-u)^s.  Terms meeting one slot share r+s mod 2,
     so the common irrational factor 2^-gamma is dropped and the profile
-    stays exact.  The normal form can place growing monomials into
-    expressions that decay as functions; growth is real only if some slot
-    profile is nonzero.
+    stays exact.  A profile term keeps its class's trig residues and its
+    (P, Q), which are canonical already.  The normal form can place growing
+    monomials into expressions that decay as functions; growth is real only
+    if some slot profile is nonzero.
     """
-    out: list[Monomial] = []
-    for m in f.terms:
-        g = m.r + m.s
-        step = (g - gamma) / 2
-        if step.denominator != 1 or step < 0:
-            continue
-        k = int(step)
-        w = sum(_gen_binomial(m.r, j) * _gen_binomial(m.s, k - j) * (-1) ** (k - j)
-                for j in range(k + 1))
-        if w:
-            out.append(Monomial(m.coeff * w * Fraction(1, 4) ** k, m.p, m.q,
-                                Fraction(0), Fraction(0)))
-    return FunExpr.from_terms(out)
+    slots: dict[Fraction, Classes] = {}
+    for cls, row in f.classes.items():
+        rn, rd, sn, sd = cls[4:]
+        trig = cls[:4] + (0, 1, 0, 1)
+        for (P, Q, R, S), c in row.items():
+            if k * (rn * sd + sn * rd + 2 * (R + S) * rd * sd) < -rd * sd:
+                continue  # k*(r+s) < -1: no slot at or above -1/k
+            r, s = _exponent(rn, rd, R), _exponent(sn, sd, S)
+            top = math.floor((k * (r + s) + 1) / (2 * k))
+            a, b = [Fraction(1)], [Fraction(1)]  # (1+u)^r and (1-u)^s
+            for j in range(top):
+                a.append(a[j] * (r - j) / (j + 1))
+                b.append(-b[j] * (s - j) / (j + 1))
+            for j in range(top + 1):
+                w = sum(a[i] * b[j - i] for i in range(j + 1))
+                if w:
+                    acc = slots.setdefault(r + s - 2 * j, {}).setdefault(trig, {})
+                    acc[P, Q, 0, 0] = acc.get((P, Q, 0, 0), 0) + c * w / 4 ** j
+    return slots
 
 
-def _growth_slots(f: FunExpr, floor: Fraction) -> list[Fraction]:
-    """All candidate growth exponents gamma >= floor, descending."""
-    slots: set[Fraction] = set()
-    for m in f.terms:
-        g = m.r + m.s
-        while g >= floor:
-            slots.add(g)
-            g -= 2
-    return sorted(slots, reverse=True)
+def _divergence(f: FunExpr, k: int) -> str | None:
+    """Why int f^k sinh(xi) dtheta dxi over the quadrant diverges, or None.
 
-
-def xi_growth_bounded_by(f: FunExpr, bound: Fraction) -> bool:
-    """True when the large-xi growth exponent of f is strictly below bound."""
-    return all(_slot_coefficient(f, g).is_zero
-               for g in _growth_slots(f, bound))
+    Wall exponents are intrinsic data of the normal form, so a per-term
+    test decides convergence at theta = 0, pi/2 and xi = 0: each exponent
+    n/d + 2K must exceed bound/k.  The large-xi growth is decided on the
+    exact slot profiles, which is immune to cancelling growth between terms
+    of the normal form.
+    """
+    for cls, row in f.classes.items():
+        for offs, c in row.items():
+            for i, name, sym, bound in _WALLS:
+                d = cls[2 * i + 1]
+                if k * (cls[2 * i] + 2 * d * offs[i]) <= bound * d:
+                    m = _monomial(cls, offs, c)
+                    return (f"{name} exponent {sym}={m.key[i]} <= "
+                            f"{Fraction(bound, k)} in term {m}")
+    slots = _growth_profiles(f, k)
+    for gamma in sorted(slots, reverse=True):
+        profile = FunExpr._pruned(slots[gamma])
+        if not profile.is_zero:
+            return f"large-xi growth exponent {gamma} with profile {profile}"
+    return None
 
 
 def _lower_growth(terms: list[Monomial]) -> list[Monomial]:
@@ -514,18 +522,11 @@ def integral(f: FunExpr) -> float:
     individual growth would diverge are first recombined exactly; a genuine
     divergence raises with the offending term or growth profile.
     """
-    terms = list(f.terms)
-    for m in terms:
-        _check_walls(m)
-    if any(m.r + m.s >= -1 for m in terms):
-        for g in _growth_slots(f, Fraction(-1)):
-            prof = _slot_coefficient(f, g)
-            if not prof.is_zero:
-                raise DivergenceError(
-                    f"large-xi growth exponent {g} with profile {prof}")
-        terms = _lower_growth(terms)
+    reason = _divergence(f, 1)
+    if reason:
+        raise DivergenceError(reason)
     total = 0.0
-    for m in terms:
+    for m in _lower_growth(list(f.terms)):
         lb = _log_beta(float(m.q + 1) / 2, float(m.p + 1) / 2) \
             + _log_beta(float(m.s + 2) / 2, -float(m.r + m.s + 1) / 2)
         total += float(m.coeff) * 0.25 * math.exp(lb)
@@ -542,13 +543,5 @@ def norm_squared(f: FunExpr) -> float:
 
 
 def is_normalizable(f: FunExpr) -> bool:
-    """True when inner(f, f) converges.
-
-    Wall behavior is read off the terms (intrinsic in the normal form); the
-    large-xi growth is decided from the exact asymptotic slots, which is
-    immune to cancelling growth between terms of the normal form.
-    """
-    for m in f.terms:
-        if not (m.q > Fraction(-1, 2) and m.p > Fraction(-1, 2) and m.s > -1):
-            return False
-    return xi_growth_bounded_by(f, Fraction(-1, 2))
+    """True when inner(f, f) converges: `_divergence` at k = 2."""
+    return _divergence(f, 2) is None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (FunExpr, Monomial, RationalLike, _exponent, d_theta,
+from .algebra import (FunExpr, Monomial, RationalLike, _monomial, d_theta,
                       d_xi, monomial, rational)
 
 HALF = Fraction(1, 2)
@@ -254,10 +254,8 @@ def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
     for cls, terms in f.classes.items():
         for k, c in terms.items():
             if any(cls[2 * i] or k[i] for i in absent):
-                m = Monomial(c, *(_exponent(cls[2 * j], cls[2 * j + 1], k[j])
-                                  for j in range(4)))
-                raise VariableMismatchError(
-                    f"{which} operator expects {kind} expression, got {m}")
+                raise VariableMismatchError(f"{which} operator expects {kind} "
+                                            f"expression, got {_monomial(cls, k, c)}")
 
 
 def apply_separated(which: str, f: FunExpr,

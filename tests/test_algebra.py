@@ -223,19 +223,38 @@ class TestInner:
         assert any(m.r + m.s >= -1 for m in f.terms)
         assert abs(integral(f) - quadrature_oracle(f)) < 1e-10
 
-    def test_divergence_names_offender(self):
-        with pytest.raises(DivergenceError, match="sin"):
-            integral(monomial(1, 0, -1, -4, 1))
+    @pytest.mark.parametrize("f, message", [
+        (monomial(1, 0, -1, -4, 1), r"^sin exponent q=-1 <= -1 in term 1\*sin\^\(-1\)"),
+        (monomial(1, -1, 0, -4, 1), r"^cos exponent p=-1 <= -1 in term 1\*cos\^\(-1\)"),
+        (monomial(1, 0, 0, 0, -2), r"^sinh exponent s=-2 <= -2 in term 1\*sinh\^\(-2\)"),
+    ], ids=["sin", "cos", "sinh"])
+    def test_divergence_names_offender(self, f, message):
+        # each wall exactly at its bound: sin at theta = 0, cos at pi/2, sinh at xi = 0
+        with pytest.raises(DivergenceError, match=message):
+            integral(f)
 
     def test_agrees_with_quadrature(self, rng):
         for _ in range(20):
             f = random_admissible(rng)
             assert abs(integral(f) - quadrature_oracle(f, tol=1e-10)) < 1e-8
 
-    def test_is_normalizable(self):
-        assert is_normalizable(monomial(1, "1/2", "1/2", "-9/2", 1))
-        assert not is_normalizable(monomial(1, "1/2", "-1/2", "-9/2", 1))
-        assert not is_normalizable(monomial(1, "1/2", "1/2", "-1/2", 0))
+    # f^2 meets each wall at half the integral's bound; inside, a quarter
+    # step off the wall, the xi part decays
+    @pytest.mark.parametrize("exponents, expected", [
+        (("1/2", "1/2", "-9/2", 1), True),
+        (("1/2", "-1/2", "-9/2", 1), False),
+        (("1/2", "-1/4", "-9/2", 1), True),
+        (("-1/2", "1/2", "-9/2", 1), False),
+        (("-1/4", "1/2", "-9/2", 1), True),
+        (("1/2", "1/2", 0, -1), False),
+        (("1/2", "1/2", 0, "-3/4"), True),
+        (("1/2", "1/2", "-1/2", 0), False),
+    ], ids=["interior", "sin-wall", "sin-inside", "cos-wall", "cos-inside",
+            "sinh-wall", "sinh-inside", "growth"])
+    def test_is_normalizable(self, exponents, expected):
+        f = monomial(1, *exponents)
+        assert len(f.terms) == 1  # the exponents are stored as written
+        assert is_normalizable(f) is expected
 
     def test_norm_squared(self):
         st = monomial(1, "1/2", "1/2", "-5/2", 1)
