@@ -27,9 +27,11 @@ factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
 in closed form, with integer coefficients.  This makes structural equality
 of normalized expressions coincide with equality of functions.  That is what
 allows operator identities to be verified as literally empty residuals.
-The convergence checks read the classes too (`_divergence`).  The Fraction
-exponents of `FunExpr.terms` are built only when that view is read: for
-printing, evaluation and the float sum of `integral`.
+The convergence checks (`_divergence`) and evaluation (`_term_factors`) read
+the classes too.  Evaluation raises `DomainError` for a negative offset on a
+zero base (sin at theta = 0, cos at pi/2, sinh at xi = 0) and writes
+cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term underflows to 0 where
+cosh overflows.  The Fraction view `FunExpr.terms` serves printing and `integral`.
 
 Coordinates live on the quadrant 0 < theta < pi/2, 0 < xi < infinity, with
 the invariant measure sinh(xi) dtheta dxi used by :func:`inner`.
@@ -356,62 +358,70 @@ def d_xi(f: FunExpr) -> FunExpr:
     return _derivative(f, _D_XI)
 
 
-def _pow(base: float, e: Fraction) -> float:
-    if e == 0:
-        return 1.0
-    if base == 0.0:
-        if e < 0:
-            raise DomainError(f"zero base with negative exponent {e}")
-        return 0.0
-    return math.pow(base, float(e))
+# sin at theta = 0, cos at pi/2, sinh at xi = 0: slot, names, integral bound
+_WALLS = ((1, "sin", "q", -1), (0, "cos", "p", -1), (3, "sinh", "s", -2))
 
 
-def _require_chart(theta: float, xi: float) -> None:
-    if not (0.0 <= theta <= math.pi / 2 and xi >= 0.0):
-        raise DomainError(f"point (theta={theta}, xi={xi}) is off the chart "
-                          "0 <= theta <= pi/2, xi >= 0")
+def _term_factors(f: FunExpr, ct, st, th, lc, zero: tuple, exp: Callable):
+    """(c, theta factor, xi factor) per term from ct, st, th = cos, sin, tanh
+    and lc = log cosh, all floats or all arrays; a negative offset on a wall
+    whose base is 0 somewhere (`zero`) raises.  cosh^(r+s) = exp((r+s) lc)."""
+    for hit, (i, name, sym, _) in zip(zero, _WALLS):
+        for cls, row in f.classes.items() if hit else ():
+            for offs, c in row.items():
+                if offs[i] < 0:
+                    m = _monomial(cls, offs, c)
+                    raise DomainError(f"negative exponent {sym}={m.key[i]} "
+                                      f"where {name} is 0, in term {m}")
+    for cls, row in f.classes.items():
+        pn, pd, qn, qd, rn, rd, sn, sd = cls
+        trig, hyp, rs = ct ** (pn / pd) * st ** (qn / qd), th ** (sn / sd), rn / rd + sn / sd
+        for (P, Q, R, S), c in row.items():  # residue powers per class, integer ones per term
+            a = trig * ct ** (2 * P) * st ** (2 * Q) if P or Q else trig
+            b = hyp * th ** (2 * S) if S else hyp
+            yield c.numerator / c.denominator, a, b * exp((rs + 2 * (R + S)) * lc)
 
 
 def eval_at(f: FunExpr, theta: float, xi: float) -> float:
     """Floating evaluation on the closed quadrant; a wall point only if no
     negative exponent hits it.  cos is exactly 0 at theta = pi/2, not 6e-17."""
-    _require_chart(theta, xi)
-    ct, st = (0.0 if theta == math.pi / 2 else math.cos(theta)), math.sin(theta)
-    ch, sh = math.cosh(xi), math.sinh(xi)
-    total = 0.0
-    for m in f.terms:
-        total += float(m.coeff) * _pow(ct, m.p) * _pow(st, m.q) \
-            * _pow(ch, m.r) * _pow(sh, m.s)
+    if not (0.0 <= theta <= math.pi / 2 and xi >= 0.0):
+        raise DomainError(f"point (theta={theta}, xi={xi}) is off the chart "
+                          "0 <= theta <= pi/2, xi >= 0")
+    ct, st, th = math.cos(theta) * (theta != math.pi / 2), math.sin(theta), math.tanh(xi)
+    lc = xi + math.log1p(math.exp(-2.0 * xi)) - math.log(2.0)
+    try:
+        total = sum((c * a * b for c, a, b in _term_factors(
+            f, ct, st, th, lc, (st == 0.0, ct == 0.0, th == 0.0), math.exp)), 0.0)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"f is not finite at (theta={theta}, xi={xi})")
     return total
 
 
 def eval_grid(f: FunExpr, thetas: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on the tensor grid thetas x xis."""
+    """`eval_at` on the grid thetas x xis, as a sum of per-term outer products."""
     thetas, xis = np.asarray(thetas, dtype=float), np.asarray(xis, dtype=float)
-    on_t = (thetas >= 0.0) & (thetas <= math.pi / 2)
-    on_x = xis >= 0.0
-    if not (on_t.all() and on_x.all()):  # argmin finds the first False
-        _require_chart(thetas[np.argmin(on_t)], xis[np.argmin(on_x)])
-    ct, st = np.where(thetas == math.pi / 2, 0.0, np.cos(thetas)), np.sin(thetas)
-    ch, sh = np.cosh(xis), np.sinh(xis)
-    out = np.zeros((len(thetas), len(xis)))
-    for m in f.terms:
-        for base_arr, e in ((ct, m.p), (st, m.q), (sh, m.s)):
-            if e < 0 and np.any(base_arr == 0.0):
-                raise DomainError("grid touches a wall with negative exponent")
-        th_part = np.power(ct, float(m.p)) * np.power(st, float(m.q))
-        xi_part = np.power(ch, float(m.r)) * np.power(sh, float(m.s))
-        out += float(m.coeff) * np.outer(th_part, xi_part)
+    lo, hi, xlo = thetas.min(initial=1.0), thetas.max(initial=1.0), xis.min(initial=1.0)
+    if not (0.0 <= lo and hi <= math.pi / 2 and xlo >= 0.0):  # NaN too; empty grids pass
+        on_t, on_x = (thetas >= 0.0) & (thetas <= math.pi / 2), xis >= 0.0
+        eval_at(f, thetas[np.argmin(on_t)], xis[np.argmin(on_x)])  # raises at the first
+    ct, st, th = np.cos(thetas) * (thetas != math.pi / 2), np.sin(thetas), np.tanh(xis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = list(_term_factors(f, ct, st, th, np.logaddexp(xis, -xis) - math.log(2.0),
+                                   (lo == 0.0, hi == math.pi / 2, xlo == 0.0), np.exp))
+        a = np.array([c * a for c, a, _ in terms]).reshape(len(terms), len(thetas))
+        b = np.array([b for _, _, b in terms]).reshape(len(terms), len(xis))
+        out = np.dot(a.T, b)  # matmul takes a slow path at one term
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise DomainError(f"f is not finite at (theta={thetas[i]}, xi={xis[j]})")
     return out
 
 
 def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-
-
-# per wall of int f sinh(xi) dtheta dxi: exponent slot, names, and the bound
-# the exponent must exceed (sin at theta = 0, cos at pi/2, sinh at xi = 0)
-_WALLS = ((1, "sin", "q", -1), (0, "cos", "p", -1), (3, "sinh", "s", -2))
 
 
 def _growth_profiles(f: FunExpr, k: int) -> dict[Fraction, Classes]:

@@ -12,14 +12,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import identities, numeric, spectra
 from .algebra import eval_grid, is_normalizable, rational
-from .operators import (SHIFTS, LabeledState, OperatorName, ParamPoint,
-                        apply_hamiltonian, apply_word)
+from .operators import (SHIFTS, OperatorName, ParamPoint, apply_hamiltonian,
+                        apply_word)
 from .spectra import AdmissibilityError
 
 EXIT_OK = 0
@@ -37,10 +36,6 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _label(args) -> ParamPoint:
-    return ParamPoint.of(args.l0, args.l1, args.l2)
-
-
 def _parse_word(text: str) -> tuple[OperatorName, ...]:
     if not text:
         return ()
@@ -51,7 +46,7 @@ def _parse_word(text: str) -> tuple[OperatorName, ...]:
 
 
 def cmd_spectrum(args) -> int:
-    report = spectra.bound_spectrum(_label(args))
+    report = spectra.bound_spectrum(ParamPoint.of(args.l0, args.l1, args.l2))
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     return EXIT_OK
 
@@ -156,23 +151,19 @@ def cmd_sample(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    target = _label(args)
+    target = ParamPoint.of(args.l0, args.l1, args.l2)
     grid = numeric.GridSpec("xi", args.grid, cutoff=args.cutoff)
     report = spectra.bound_spectrum(target)
     l0, l1 = rational(args.l0), rational(args.l1)
-    # separation constants from the angular ladder; channels stop binding
-    # once sqrt(alpha) clears the well depth
+    # separation constants from the angular ladder, at most 65 channels;
+    # channels stop binding once sqrt(alpha) clears the well depth
     numeric_hits: list[tuple[float, float]] = []
-    n_ch = 0
-    while True:
+    for n_ch in range(65):
         alpha = float((1 + l0 + l1 + 2 * n_ch)) ** 2
         res = numeric.solve_xi(rational(args.l2), alpha, grid)
         if not res.eigenvalues:
             break
         numeric_hits.extend((alpha, e) for e in res.eigenvalues)
-        n_ch += 1
-        if n_ch > 64:
-            break
     rows = []
     worst = 0.0
     for lv in report.levels:
@@ -213,19 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="bound levels of one Hamiltonian")
     _add_label_flags(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("state", help="build a vertex state, optionally apply a word")
     _add_label_flags(p, l1=False)
     p.add_argument("--word", default="", help="comma list, rightmost applied first")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("verify", help="run the exact identity suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probes", type=int, default=5)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lattice", help="representation lattice from a vertex")
@@ -233,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", choices=("su21", "so42"), default="su21")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("sample", help="sample a normalized state on a grid (CSV)")
@@ -241,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--cutoff", type=float, default=10.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("crosscheck", help="algebraic vs numeric energies")
     _add_label_flags(p)
     p.add_argument("--grid", type=int, default=2000)
     p.add_argument("--cutoff", type=float, default=25.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_crosscheck)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return ap
 
 

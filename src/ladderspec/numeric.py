@@ -186,14 +186,13 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
     return EigenResult(tuple(vals), tuple(res), grid)
 
 
-def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
-             nev: int = 8) -> EigenResult:
+def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenResult:
     """Discrete negative eigenvalues of the radial equation at given alpha.
 
     Solves -g'' - coth g' - (l2^2-1/4)/cosh^2 g + alpha/sinh^2 g = E g via the
     sinh^(1/2) similarity transform.  Only E < 0 entries are reported; the
-    list is empty when the channel binds nothing.  While all nev values come
-    back real and negative, nev doubles (up to n - 2), so none is cut off.
+    list is empty when the channel binds nothing.  It asks for 8 levels and
+    doubles that, up to n - 2, while all come back real and negative.
     """
     L2 = _to_float(l2)
     a = float(alpha)
@@ -207,10 +206,13 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec,
     # further from the levels than V.min() - 1: on the numeric benchmark
     # labels (n = 2000) it made these solves 2.5x slower and moved levels by
     # up to 5e-4 relative.
-    vals, vecs, res = _solve(V, grid, math.sqrt(a) + 0.5, None, nev,
-                             sigma=float(V.min()) - 1.0)
-    if len(vals) == nev < grid.n - 2 and vals[-1] < 0.0:
-        return solve_xi(l2, alpha, grid, min(2 * nev, grid.n - 2))
+    nev = 8
+    while True:
+        vals, vecs, res = _solve(V, grid, math.sqrt(a) + 0.5, None, nev,
+                                 sigma=float(V.min()) - 1.0)
+        if not (len(vals) == nev < grid.n - 2 and vals[-1] < 0.0):
+            break
+        nev = min(2 * nev, grid.n - 2)
     bound = int((vals < 0.0).sum())  # ascending, so the bound levels come first
     if bound:
         v = np.abs(vecs[:, 0]) ** 2

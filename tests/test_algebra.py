@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ladderspec import (DivergenceError, DomainError, FunExpr, d_theta, d_xi, eval_at,
-                        eval_grid, inner, integral, is_normalizable, monomial,
-                        norm_squared)
+                        eval_grid, ground_full, inner, integral, is_normalizable,
+                        monomial, norm_squared, normalize)
 from ladderspec.algebra import Monomial, rational
 
 from conftest import quadrature_oracle
@@ -154,14 +154,47 @@ class TestEval:
         grid = eval_grid(f, np.array([0.0, math.pi / 2]), np.array([0.0, 1.0]))
         assert np.all(np.isfinite(grid)) and grid[0, 1] == 0.0
 
-    def test_negative_cos_exponent_at_right_angle_is_a_domain_error(self):
-        # cos(pi/2) is 6.1e-17 in floats; the wall is exact, as at theta = 0
-        with pytest.raises(DomainError, match="negative exponent"):
-            eval_at(monomial(1, "-1/2"), math.pi / 2, 1.0)
+    # cos(pi/2) is 6.1e-17 in floats; that wall is exact, as the other two
+    WALLS = pytest.mark.parametrize("f, theta, xi, message", [
+        (monomial(1, 0, "-1/2"), 0.0, 1.0, r"q=-1/2 where sin is 0"),
+        (monomial(1, "-1/2"), math.pi / 2, 1.0, r"p=-1/2 where cos is 0"),
+        (monomial(1, 0, 0, 0, "-1/2"), 0.7, 0.0, r"s=-1/2 where sinh is 0"),
+    ], ids=["sin", "cos", "sinh"])
 
-    def test_grid_with_negative_cos_exponent_at_right_angle_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="negative exponent"):
-            eval_grid(monomial(1, "-1/2"), np.array([0.3, math.pi / 2]), np.array([1.0]))
+    @WALLS
+    def test_negative_exponent_on_a_wall_is_a_domain_error(self, f, theta, xi, message):
+        with pytest.raises(DomainError, match="negative exponent " + message):
+            eval_at(f, theta, xi)
+
+    @WALLS
+    def test_grid_with_negative_exponent_on_a_wall_is_a_domain_error(
+            self, f, theta, xi, message):
+        with pytest.raises(DomainError, match="negative exponent " + message):
+            eval_grid(f, np.array([0.3, theta]), np.array([1.0, xi]))
+
+    def test_grid_of_zero_is_zero(self):
+        ths, xis = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 5.0, 4)
+        grid = eval_grid(FunExpr(), ths, xis)
+        assert grid.shape == (3, 4) and not grid.any()
+
+    def test_decaying_state_underflows_at_large_xi(self):
+        # cosh(720) overflows a float; the state's true value underflows to 0
+        st, _ = normalize(ground_full(0, -5))
+        assert eval_at(st.expr, 0.5, 720.0) == 0.0
+        grid = eval_grid(st.expr, np.array([0.5, 1.0]), np.array([1.0, 720.0, 2000.0]))
+        assert grid[0, 0] > 0 and not grid[:, 1:].any()
+
+    @pytest.mark.parametrize("f, theta, xi", [
+        (monomial(1, 0, 0, 2), 0.5, 720.0),          # cosh^2 at large xi
+        (monomial(1, "-61/2"), math.pi / 2 - 1e-15, 1.0),  # cos^(-61/2) near its wall
+        (monomial(1, 0, 0, 0, -3), 0.5, 1e-150),     # sinh^-3 near its wall
+    ], ids=["cosh", "cos", "sinh"])
+    def test_overflow_names_the_point(self, f, theta, xi):
+        point = re.escape(f"(theta={theta}, xi={xi})")
+        with pytest.raises(DomainError, match="not finite at " + point):
+            eval_at(f, theta, xi)
+        with pytest.raises(DomainError, match="not finite at " + point):
+            eval_grid(f, np.array([theta]), np.array([1.0, xi]))
 
     def test_grid_matches_pointwise(self, rng):
         f = random_expr(rng)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -171,6 +172,18 @@ class TestSample:
         w = np.sinh(xis)[None, :] * (np.pi / 2 / n) * (cutoff / n)
         g1, g2 = eval_grid(s1.expr, ths, xis), eval_grid(s2.expr, ths, xis)
         assert abs(float((g1 * g2 * w).sum())) < 1e-3
+
+    def test_large_cutoff_underflows_without_nan(self, capsys):
+        # cosh and sinh overflow a float beyond xi = 710; the state underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sample", "--l0", "0", "--l2", "-5",
+                                     "--grid", "4", "--cutoff", "1000")
+        assert code == 0 and err == ""
+        rows = [[float(tok) for tok in ln.split(",")]
+                for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(v > 0 if xi == 125 else v == 0 for _, xi, v in rows)
 
     def test_zero_grid_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--l0", "0", "--l2", "-5",

@@ -9,7 +9,9 @@ The arithmetic and the derivatives work on residue classes and integer
 offsets.  Their oracles are the earlier Monomial-level versions, which
 rebuild Fraction exponents term by term and normalize with `from_terms`.
 So is the oracle of the convergence checks `is_normalizable` and `integral`
-run, which reads the walls and the large-xi growth slots off `terms`.
+run, which reads the walls and the large-xi growth slots off `terms`, and
+the oracle of `eval_at` and `eval_grid`, which takes the Fraction powers of
+`terms` one by one.
 """
 
 import math
@@ -17,11 +19,12 @@ import re
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ladderspec import (DivergenceError, FunExpr, d_theta, d_xi, eval_at,
-                        integral, is_normalizable)
+from ladderspec import (DivergenceError, DomainError, FunExpr, d_theta, d_xi,
+                        eval_at, eval_grid, integral, is_normalizable)
 from ladderspec.algebra import Monomial, _log_beta, _lower_growth, rational
 
 
@@ -389,3 +392,109 @@ def test_convergence_checks_match_oracle(terms):
     assert (sym, int(bound)) == WALLS[name]
     m = next(m for m in f.terms if str(m) == named)
     assert str(getattr(m, sym)) == shown and getattr(m, sym) <= int(bound)
+
+
+# --- reference oracles: the Monomial-level evaluation ----------------------
+
+def oracle_require_chart(theta: float, xi: float) -> None:
+    if not (0.0 <= theta <= math.pi / 2 and xi >= 0.0):
+        raise DomainError(f"point (theta={theta}, xi={xi}) is off the chart "
+                          "0 <= theta <= pi/2, xi >= 0")
+
+
+def oracle_pow(base: float, e: Fraction) -> float:
+    if e == 0:
+        return 1.0
+    if base == 0.0:
+        if e < 0:
+            raise DomainError(f"zero base with negative exponent {e}")
+        return 0.0
+    return math.pow(base, float(e))
+
+
+def oracle_eval_at(f: FunExpr, theta: float, xi: float) -> float:
+    """Floating evaluation on the closed quadrant; a wall point only if no
+    negative exponent hits it.  cos is exactly 0 at theta = pi/2, not 6e-17."""
+    oracle_require_chart(theta, xi)
+    ct, st = (0.0 if theta == math.pi / 2 else math.cos(theta)), math.sin(theta)
+    ch, sh = math.cosh(xi), math.sinh(xi)
+    total = 0.0
+    for m in f.terms:
+        total += float(m.coeff) * oracle_pow(ct, m.p) * oracle_pow(st, m.q) \
+            * oracle_pow(ch, m.r) * oracle_pow(sh, m.s)
+    return total
+
+
+def oracle_eval_grid(f: FunExpr, thetas: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation on the tensor grid thetas x xis."""
+    thetas, xis = np.asarray(thetas, dtype=float), np.asarray(xis, dtype=float)
+    on_t = (thetas >= 0.0) & (thetas <= math.pi / 2)
+    on_x = xis >= 0.0
+    if not (on_t.all() and on_x.all()):  # argmin finds the first False
+        oracle_require_chart(thetas[np.argmin(on_t)], xis[np.argmin(on_x)])
+    ct, st = np.where(thetas == math.pi / 2, 0.0, np.cos(thetas)), np.sin(thetas)
+    ch, sh = np.cosh(xis), np.sinh(xis)
+    out = np.zeros((len(thetas), len(xis)))
+    for m in f.terms:
+        for base_arr, e in ((ct, m.p), (st, m.q), (sh, m.s)):
+            if e < 0 and np.any(base_arr == 0.0):
+                raise DomainError("grid touches a wall with negative exponent")
+        th_part = np.power(ct, float(m.p)) * np.power(st, float(m.q))
+        xi_part = np.power(ch, float(m.r)) * np.power(sh, float(m.s))
+        out += float(m.coeff) * np.outer(th_part, xi_part)
+    return out
+
+
+def _value(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+
+
+def _check_eval(evaluate, oracle, raw, terms, *point):
+    """evaluate matches oracle on f to 1e-12 of the summed term magnitudes,
+    the scale of `test_eval_of_raw_terms_agrees`: the terms may cancel."""
+    f = FunExpr(tuple(terms)) if raw else FunExpr.from_terms(terms)
+    got, want = _value(evaluate, f, *point), _value(oracle, f, *point)
+    assert (got is None) == (want is None)
+    if want is not None:
+        scale = sum(np.abs(oracle(FunExpr((m,)), *point)) for m in f.terms)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0))
+
+
+# one point on each wall: sin at theta = 0, cos at pi/2, sinh at xi = 0
+WALL_POINTS = ((0.0, 1.1), (math.pi / 2, 0.6), (0.9, 0.0))
+WALL_TERMS = (_terms((3, "1/2", "-1/2", "-7/2", "1/2")),
+              _terms(("-2/3", "-3/2", 1, -4, 1)),
+              _terms((5, "1/3", "1/2", "-9/2", "-1/2"), (1, 2, 0, -6, "3/2")),
+              _terms((1, 2, "5/2", "-11/2", 1), ("1/2", 0, 0, -4, 0)))
+
+
+def _on_walls(points):
+    """@example per wall point and term list, raw and normalized."""
+    def add(test):
+        for point in points:
+            for terms in WALL_TERMS:
+                for raw in (False, True):
+                    test = example(raw, terms, *point)(test)
+        return test
+    return add
+
+
+@given(st.booleans(), term_lists, st.floats(0.2, math.pi / 2 - 0.2),
+       st.floats(0.2, 2.0))
+@_on_walls(WALL_POINTS)
+def test_eval_at_matches_oracle(raw, terms, theta, xi):
+    _check_eval(eval_at, oracle_eval_at, raw, terms, theta, xi)
+
+
+# an interior grid, then one grid through each wall point
+GRIDS = ((np.array([0.25, 0.8, 1.3]), np.array([0.2, 0.9, 2.0])),) \
+    + tuple((np.array([0.4, theta]), np.array([xi, 1.5])) for theta, xi in WALL_POINTS)
+
+
+@given(st.booleans(), term_lists, st.sampled_from(range(len(GRIDS))))
+@_on_walls([(i,) for i in range(1, len(GRIDS))])
+def test_eval_grid_matches_oracle(raw, terms, grid):
+    _check_eval(eval_grid, oracle_eval_grid, raw, terms, *GRIDS[grid])

@@ -4,12 +4,12 @@ Run from the repository root:
 
     python3 tools/count_lines.py [ROOT]
 
-Prints two numbers for ROOT/src (ROOT defaults to the current directory):
-the total number of lines, and the code lines, which are the lines that
-hold at least one token other than a comment, a docstring or layout.  A
-docstring is a statement made of one string literal.  Tokens come from the
-standard library's `tokenize`, so a multi-line string counts on every line
-it spans.
+Prints, for each Python file under ROOT/src (ROOT defaults to the current
+directory) and then for all of them, the number of lines and of code lines.
+Code lines are the lines that hold at least one token other than a comment,
+a docstring or layout.  A docstring is a statement made of one string
+literal.  Tokens come from the standard library's `tokenize`, so a
+multi-line string counts on every line it spans.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ def code_lines(path: Path) -> set[int]:
 
 def main() -> None:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".") / "src"
-    files = sorted(root.rglob("*.py"))
-    total = sum(len(p.read_text().splitlines()) for p in files)
-    code = sum(len(code_lines(p)) for p in files)
+    total = code = 0
+    for path in sorted(root.rglob("*.py")):
+        n, c = len(path.read_text().splitlines()), len(code_lines(path))
+        print(f"{path.relative_to(root)}: lines {n}, code lines {c}")
+        total, code = total + n, code + c
     print(f"lines {total}")
     print(f"code lines {code}")
 
