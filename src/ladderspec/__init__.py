@@ -7,13 +7,12 @@ independent numerical cross-check.  Everything is immutable and pure, hence
 safe for concurrent use.
 """
 
+import importlib
+
 from .algebra import (DivergenceError, DomainError, FunExpr, Monomial,
                       d_theta, d_xi, eval_at, eval_grid, inner, integral,
                       is_normalizable, monomial, norm_squared, rational)
 from .identities import IdentityResult, run_suite
-from .numeric import (EigenResult, GridSpec, ParameterError,
-                      TruncationWarning, residual_on_grid, solve_theta,
-                      solve_xi)
 from .operators import (LabeledState, OperatorName, ParamPoint,
                         VariableMismatchError, apply, apply_casimir,
                         apply_hamiltonian, apply_separated, apply_word,
@@ -28,3 +27,14 @@ from .spectra import (AdmissibilityError, EnergyLevel, LatticePoint,
                       so42_vacuum, states_at, vertex_energy)
 
 __version__ = "0.1.0"
+
+_NUMERIC = {"EigenResult", "GridSpec", "ParameterError", "TruncationWarning",
+            "residual_on_grid", "solve_theta", "solve_xi"}
+
+
+def __getattr__(name: str):
+    """Load the numeric layer, and numpy with it, on first use (PEP 562)."""
+    if name == "numeric" or name in _NUMERIC:
+        numeric = importlib.import_module(".numeric", __name__)
+        return numeric if name == "numeric" else getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,6 +32,8 @@ the classes too.  Evaluation raises `DomainError` for a negative offset on a
 zero base (sin at theta = 0, cos at pi/2, sinh at xi = 0) and writes
 cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term underflows to 0 where
 cosh overflows.  The Fraction view `FunExpr.terms` serves printing and `integral`.
+Only `eval_grid` works on float arrays, so it alone imports numpy, in its
+body: the exact algebra loads without it.
 
 Coordinates live on the quadrant 0 < theta < pi/2, 0 < xi < infinity, with
 the invariant measure sinh(xi) dtheta dxi used by :func:`inner`.
@@ -42,9 +44,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RationalLike = Union[Fraction, int, str]
 # residues (pn, pd, qn, qd, rn, rd, sn, sd) of (p, q, r, s) mod 2, see _split
@@ -66,7 +69,10 @@ def rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"invalid rational {x!r}: zero denominator") from None
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -402,6 +408,8 @@ def eval_at(f: FunExpr, theta: float, xi: float) -> float:
 
 def eval_grid(f: FunExpr, thetas: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """`eval_at` on the grid thetas x xis, as a sum of per-term outer products."""
+    import numpy as np
+
     thetas, xis = np.asarray(thetas, dtype=float), np.asarray(xis, dtype=float)
     lo, hi, xlo = thetas.min(initial=1.0), thetas.max(initial=1.0), xis.min(initial=1.0)
     if not (0.0 <= lo and hi <= math.pi / 2 and xlo >= 0.0):  # NaN too; empty grids pass

@@ -3,7 +3,10 @@
 Subcommands: spectrum, state, verify, lattice, sample, crosscheck.
 Labels are passed as exact rational strings ("-5", "1/2"); floats appear only
 in norms, samples and numeric eigenvalues.  Exit codes: 0 ok, 1 a
-verification or tolerance failure, 2 invalid input.
+verification or tolerance failure, 2 invalid input (an unwritable --out
+included).  numpy is imported inside `sample` and `crosscheck` and scipy
+inside the eigensolver that `crosscheck` calls, so spectrum, state, verify
+and lattice start without either.
 """
 
 from __future__ import annotations
@@ -13,9 +16,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import identities, numeric, spectra
+from . import identities, spectra
 from .algebra import eval_grid, is_normalizable, rational
 from .operators import (SHIFTS, OperatorName, ParamPoint, apply_hamiltonian,
                         apply_word)
@@ -28,8 +29,11 @@ EXIT_BAD_INPUT = 2
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -129,6 +133,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.cutoff) and args.cutoff > 0):
@@ -151,6 +157,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from . import numeric
+
     target = ParamPoint.of(args.l0, args.l1, args.l2)
     grid = numeric.GridSpec("xi", args.grid, cutoff=args.cutoff)
     report = spectra.bound_spectrum(target)

@@ -21,14 +21,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (FunExpr, RationalLike, inner, is_normalizable, monomial,
                       norm_squared, rational)
 # apply stays importable from here for tools that rebind the operator layer
 from .operators import (SHIFTS, LabeledState, OperatorName as O, ParamPoint,
                         apply, apply_word)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF = Fraction(1, 2)
 GRAM_REL_TOL = 1e-9  # gram_rank counts singular values above this times the largest
@@ -238,6 +240,8 @@ def states_at(vertex: ParamPoint, target: ParamPoint,
 
 def gram_matrix(states: list[LabeledState]) -> np.ndarray:
     """Pairwise inner products of unit-normalized states."""
+    import numpy as np
+
     norms = [float(np.sqrt(norm_squared(st.expr))) for st in states]
     n = len(states)
     g = np.eye(n)
@@ -254,6 +258,8 @@ def gram_rank(states: list[LabeledState]) -> int:
     labels = {st.label for st in states}
     if len(labels) > 1:
         raise ValueError(f"states must share one label, got {labels}")
+    import numpy as np
+
     sv = np.linalg.svd(gram_matrix(states), compute_uv=False)
     return int(np.sum(sv > GRAM_REL_TOL * sv[0]))
 
@@ -270,7 +276,7 @@ def normalize(st: LabeledState) -> tuple[LabeledState, float]:
     if not (math.isfinite(n2) and n2 > 0):
         raise ValueError(
             f"cannot normalize the state at {st.label}: norm squared is {n2!r}")
-    const = 1.0 / float(np.sqrt(n2))
+    const = 1.0 / math.sqrt(n2)
     scaled = st.expr.scale(Fraction(const))
     return LabeledState(st.label, scaled), const
 

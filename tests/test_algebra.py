@@ -302,3 +302,7 @@ class TestRationalParsing:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rational(0.5)
+
+    def test_zero_denominator_is_a_value_error_naming_the_input(self):
+        with pytest.raises(ValueError, match=re.escape("invalid rational '1/0'")):
+            rational("1/0")

@@ -19,16 +19,80 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# every public name of the package; the numeric ones resolve on first use
+EXPORTS = (
+    "DivergenceError DomainError FunExpr Monomial d_theta d_xi eval_at eval_grid "
+    "inner integral is_normalizable monomial norm_squared rational "
+    "IdentityResult run_suite "
+    "EigenResult GridSpec ParameterError TruncationWarning residual_on_grid "
+    "solve_theta solve_xi numeric "
+    "LabeledState OperatorName ParamPoint VariableMismatchError apply "
+    "apply_casimir apply_hamiltonian apply_separated apply_word commutator cprime "
+    "diag_eigenvalue hamiltonian_from_casimir reflect separated_eigenvalue "
+    "separated_ladder verify_intertwining "
+    "AdmissibilityError EnergyLevel LatticePoint SpectrumReport bound_spectrum "
+    "enumerate_lattice gram_matrix gram_rank ground_beta ground_chi ground_full "
+    "ground_theta lattice_states normalize so42_vacuum states_at vertex_energy").split()
+
+# the exact subcommands; none of them touches a float array
+EXACT_COMMANDS = (["spectrum", "--l2=-5"], ["state", "--l0=0", "--l2=-5"],
+                  ["verify", "--probes=1"], ["lattice", "--l2=-5", "--depth=1"])
+
+STARTUP_PROBE = """
+import sys
+def loaded():
+    return sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})
+import ladderspec
+print('import ladderspec', loaded())
+import ladderspec.cli
+ladderspec.cli.build_parser()
+print('build_parser', loaded())
+for i, argv in enumerate(COMMANDS):
+    code = ladderspec.cli.main(argv + ['--out', OUT + '/%d.out' % i])
+    print(argv[0], code, loaded())
+print('sample', ladderspec.cli.main(['sample', '--l2=-5', '--grid=2',
+                                    '--out', OUT + '/sample.csv']))
+from ladderspec import GridSpec, solve_xi, ParameterError
+print('missing', [n for n in EXPORTS if not hasattr(ladderspec, n)])
+"""
+
+
 class TestStartup:
-    def test_import_and_parser_skip_scipy(self):
-        # scipy is imported by the eigensolver calls, not by the package
+    def test_import_and_parser_skip_scipy(self, tmp_path):
+        # numpy and scipy load in sample, crosscheck and the numeric layer only
         src = os.path.dirname(os.path.dirname(os.path.abspath(ladderspec.__file__)))
-        code = ("import sys, ladderspec.cli; ladderspec.cli.build_parser(); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = (f"COMMANDS = {EXACT_COMMANDS!r}\nOUT = {str(tmp_path)!r}\n"
+                f"EXPORTS = {EXPORTS!r}\n" + STARTUP_PROBE)
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert out.strip() == "[]"
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.splitlines() == [
+            "import ladderspec []", "build_parser []", "spectrum 0 []", "state 0 []",
+            "verify 0 []", "lattice 0 []", "sample 0", "missing []"]
+        for i in range(len(EXACT_COMMANDS)):
+            assert (tmp_path / f"{i}.out").read_text(encoding="utf-8")
+        assert len((tmp_path / "sample.csv").read_text(encoding="utf-8").splitlines()) == 5
+
+    def test_lazy_exports_are_the_numeric_objects(self):
+        assert ladderspec.GridSpec is ladderspec.numeric.GridSpec
+        with pytest.raises(AttributeError, match="no attribute 'solve'"):
+            ladderspec.solve
+
+
+class TestOutFile:
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "spectrum.json"
+        code, out, err = run_cli(capsys, "spectrum", "--l2=-5", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
+
+    def test_writes_the_stdout_text(self, capsys, tmp_path):
+        path = tmp_path / "spectrum.json"
+        _, printed, _ = run_cli(capsys, "spectrum", "--l2=-5")
+        assert run_cli(capsys, "spectrum", "--l2=-5", "--out", str(path))[:2] == (0, "")
+        assert path.read_text(encoding="utf-8") + "\n" == printed
 
 
 class TestSpectrum:
@@ -46,6 +110,11 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--l2", "-2")
         assert code == 2
         assert "error" in err
+
+    def test_zero_denominator_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--l0", "1/0")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid rational '1/0': zero denominator\n"
 
     def test_exact_rational_strings(self, capsys):
         # negative rationals with a slash need the --flag=value form
