@@ -19,7 +19,14 @@ exponent splits once into a residue in [0, 2) and an integer offset
 residues as eight ints) -> {int offsets (P, Q, R, S): coefficient}, and its
 operations work on the ints.  A product adds the residues once per pair of
 classes (`_class_sum`, which carries into the offsets) and the offsets per
-pair of terms; a derivative is one class shift; sums merge dicts.  With
+pair of terms; sums and differences merge dicts.  Every other linear map is
+one pass of the kernel `_linear` over rules (exponent slot or None, factor,
+class and offsets of a multiplier cos^dp sin^dq cosh^dr sinh^ds): a term
+goes to factor times the slot's exponent, if any, times the term times the
+multiplier, into one accumulator pruned once.  d/dtheta and d/dxi are two
+slot rules each (`D_THETA`, `D_XI`), `shift_exponents` one multiplier rule,
+and operators.py compiles the ladder generators, the Hamiltonian and the 1D
+factor operators into such rules.  With
 X = cos^2, Y = sin^2 the canonical trig factors of a class are X^P (P in Z)
 or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the canonical hyperbolic
 factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
@@ -124,9 +131,9 @@ def _split_monomial(m: Monomial) -> tuple[ResidueClass, Offsets]:
 
 
 @lru_cache(maxsize=None)
-def _exponent(n: int, d: int, k: int, sign: int = 1) -> Fraction:
-    """sign times the exponent n/d + 2k, inverse to `_split`."""
-    return Fraction(sign * (n + 2 * d * k), d)
+def _exponent(n: int, d: int, k: int, num: int = 1, den: int = 1) -> Fraction:
+    """num/den times the exponent n/d + 2k, inverse to `_split`."""
+    return Fraction(num * (n + 2 * d * k), den * d)
 
 
 def _monomial(cls: ResidueClass, offs: Offsets, c: Fraction) -> Monomial:
@@ -284,20 +291,22 @@ class FunExpr:
         return FunExpr.from_classes({cls: {k: fn(c) for k, c in row.items()}
                                      for cls, row in self.classes.items()})
 
-    def __add__(self, other: "FunExpr") -> "FunExpr":
+    def __add__(self, other: "FunExpr", negate: bool = False) -> "FunExpr":
+        """self + other, or self - other when `negate`, as one merge."""
         out = {cls: dict(row) for cls, row in self.classes.items()}
         for cls, row in other.classes.items():
             acc = out.setdefault(cls, {})
             for k, c in row.items():
                 old = acc.get(k)
+                c = -c if negate else c
                 acc[k] = c if old is None else old + c
         return FunExpr._pruned(out)
 
+    def __sub__(self, other: "FunExpr") -> "FunExpr":
+        return self.__add__(other, True)
+
     def __neg__(self) -> "FunExpr":
         return self._map(Fraction.__neg__)
-
-    def __sub__(self, other: "FunExpr") -> "FunExpr":
-        return self + (-other)
 
     def __mul__(self, other: "FunExpr") -> "FunExpr":
         out: Classes = {}
@@ -320,7 +329,7 @@ class FunExpr:
     def shift_exponents(self, dp: RationalLike = 0, dq: RationalLike = 0,
                         dr: RationalLike = 0, ds: RationalLike = 0) -> "FunExpr":
         """Multiply by cos^dp sin^dq cosh^dr sinh^ds."""
-        return self * monomial(1, dp, dq, dr, ds)
+        return _linear((self, _rules([(None, 1, (dp, dq, dr, ds))])))
 
     def __str__(self) -> str:
         if not self.classes:
@@ -328,40 +337,67 @@ class FunExpr:
         return " + ".join(str(m) for m in self.terms)
 
 
-def _rule(i: int, sign: int, *shift: int) -> tuple:
-    return (i, sign) + _split_monomial(Monomial(Fraction(1), *map(Fraction, shift)))
+@lru_cache(maxsize=None)
+def _multiplier(shift: tuple[RationalLike, ...]) -> tuple[ResidueClass, Offsets]:
+    """Class and offsets of cos^dp sin^dq cosh^dr sinh^ds, shift = (dp, dq, dr, ds)."""
+    return _split_monomial(Monomial(Fraction(1), *map(rational, shift)))
+
+
+def _rules(raw: Iterable[tuple], factor: RationalLike = 1,
+           shift: tuple[int, ...] = (0, 0, 0, 0)) -> tuple[tuple, ...]:
+    """Compile (slot or None, factor, shift) triples into `_linear` rules
+    (slot or None, factor, class, offsets) of the multiplier cos^dp sin^dq
+    cosh^dr sinh^ds, shift = (dp, dq, dr, ds), all times `factor` and the
+    multiplier of `shift`; zero factors drop."""
+    return tuple((i, rational(a) * factor) + _multiplier(tuple(x + y for x, y in zip(sh, shift)))
+                 for i, a, sh in raw if a)
+
+
+def _linear(*parts: tuple[FunExpr, tuple[tuple, ...]]) -> FunExpr:
+    """The sum over parts (f, rules) of each rule applied to f.
+
+    A rule (i, a, cls, offs) maps a term c m of f to c a m times the
+    multiplier of class `cls` and offsets `offs`, and also times the
+    exponent of m at slot i when i is not None; with m's exponent at i zero
+    the term drops.  So a derivative, a multiplication by a monomial and any
+    first-order operator with monomial coefficients are one pass: every
+    image goes through `_expand` into one accumulator, pruned once.
+    """
+    out: Classes = {}
+    for f, rules in parts:
+        for cls, row in f.classes.items():
+            for i, a, dcls, doffs in rules:
+                new, carry = _class_sum(cls, dcls)
+                tP, tQ, tR, tS = (x + y for x, y in zip(carry, doffs))
+                acc = out.setdefault(new, {})
+                if i is None:
+                    for (P, Q, R, S), c in row.items():
+                        _expand(acc, P + tP, Q + tQ, R + tR, S + tS, c * a)
+                    continue
+                n, d, an, ad = cls[2 * i], cls[2 * i + 1], a.numerator, a.denominator
+                for k, c in row.items():
+                    if n or k[i]:
+                        _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS,
+                                c * _exponent(n, d, k[i], an, ad))
+    return FunExpr._pruned(out)
 
 
 # d/dtheta cos^p sin^q = -p cos^(p-1) sin^(q+1) + q cos^(p+1) sin^(q-1) and
-# d/dxi cosh^r sinh^s = r cosh^(r-1) sinh^(s+1) + s cosh^(r+1) sinh^(s-1):
-# per term (exponent slot i, its sign, class and offsets of the shift)
-_D_THETA = (_rule(0, -1, -1, 1, 0, 0), _rule(1, 1, 1, -1, 0, 0))
-_D_XI = (_rule(2, 1, 0, 0, -1, 1), _rule(3, 1, 0, 0, 1, -1))
-
-
-def _derivative(f: FunExpr, rules: tuple) -> FunExpr:
-    out: Classes = {}
-    for cls, row in f.classes.items():
-        for i, sign, dcls, doffs in rules:
-            new, carry = _class_sum(cls, dcls)
-            tP, tQ, tR, tS = (a + b for a, b in zip(carry, doffs))
-            n, d = cls[2 * i], cls[2 * i + 1]
-            acc = out.setdefault(new, {})
-            for k, c in row.items():
-                if n or k[i]:
-                    _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS,
-                            c * _exponent(n, d, k[i], sign))
-    return FunExpr._pruned(out)
+# d/dxi cosh^r sinh^s = r cosh^(r-1) sinh^(s+1) + s cosh^(r+1) sinh^(s-1),
+# as (slot, factor, shift); operators.py composes them with multipliers
+D_THETA = ((0, -1, (-1, 1, 0, 0)), (1, 1, (1, -1, 0, 0)))
+D_XI = ((2, 1, (0, 0, -1, 1)), (3, 1, (0, 0, 1, -1)))
+_D_THETA, _D_XI = _rules(D_THETA), _rules(D_XI)
 
 
 def d_theta(f: FunExpr) -> FunExpr:
     """Exact d/dtheta: each monomial maps to at most two."""
-    return _derivative(f, _D_THETA)
+    return _linear((f, _D_THETA))
 
 
 def d_xi(f: FunExpr) -> FunExpr:
     """Exact d/dxi: each monomial maps to at most two."""
-    return _derivative(f, _D_XI)
+    return _linear((f, _D_XI))
 
 
 # sin at theta = 0, cos at pi/2, sinh at xi = 0: slot, names, integral bound

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Iterable
 
 from . import identities, spectra
 from .algebra import eval_grid, is_normalizable, rational
@@ -27,17 +28,22 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write `text`, or each of its chunks in turn, to `out_path`, or to
+    stdout with a newline after the last chunk unless it ends with one."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    last = ""
+    for last in chunks:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _parse_word(text: str) -> tuple[OperatorName, ...]:
@@ -148,11 +154,15 @@ def cmd_sample(args) -> int:
     thetas = (np.arange(1, n + 1) - 0.5) * (np.pi / 2) / n
     xis = (np.arange(1, n + 1) - 0.5) * args.cutoff / n
     vals = eval_grid(st.expr, thetas, xis)
-    lines = ["theta,xi,value"]
-    for i, th in enumerate(thetas):
-        for j, xx in enumerate(xis):
-            lines.append(f"{th:.17g},{xx:.17g},{vals[i, j]:.17g}")
-    _emit("\n".join(lines), args.out)
+    xs = [f"{xx:.17g}" for xx in xis]
+
+    def rows():  # one theta line of the n^2 CSV rows at a time
+        yield "theta,xi,value"
+        for th, line in zip(thetas, vals):
+            t = f"{th:.17g}"
+            yield "".join(f"\n{t},{xx},{v:.17g}" for xx, v in zip(xs, line.tolist()))
+
+    _emit(rows(), args.out)
     return EXIT_OK
 
 

@@ -78,24 +78,25 @@ class EigenResult:
     grid: GridSpec
 
 
-def _frobenius_stencil(x: float, h: float, nu: float) -> tuple[float, float, float]:
-    """Three-point weights for u''(x), exact on x^(nu+2k), k = 0, 1, 2.
+def _frobenius_stencils(xs: np.ndarray, h: float, nu: float) -> np.ndarray:
+    """Three-point weights (w-, w0, w+) for u''(x) at each x of xs, exact on
+    x^(nu+2k), k = 0, 1, 2, as the rows of one stacked solve.
 
-    Wall sits at x = 0; the node adjacent to it uses the two-term basis since
-    the Dirichlet value closes the third condition.
+    Wall sits at x = 0.  At the node adjacent to it the Dirichlet value
+    closes the third condition: the first equation sets the wall weight w-
+    to 0, the other two make (w0, w+) exact on k = 0, 1.
     """
-    nodes = (x, x + h) if x - h <= 1e-14 else (x - h, x, x + h)
-    powers = (nu, nu + 2, nu + 4)[:len(nodes)]
-    a = np.array([[t ** p for t in nodes] for p in powers])
-    b = np.array([p * (p - 1) * x ** (p - 2) for p in powers])
-    w = [float(v) for v in np.linalg.solve(a, b)]
-    return tuple([0.0] * (3 - len(w)) + w)
-
-
-def _put_row(A: np.ndarray, M: np.ndarray, i: int, row: tuple) -> None:
-    """Set row i of the banded pencil: A to row = (sub, main, super), M to e_i."""
-    A[:, i] = row
-    M[:, i] = 0.0, 1.0, 0.0
+    powers = (nu, nu + 2, nu + 4)
+    a, b = [], []
+    for x in xs:
+        rhs = [p * (p - 1) * x ** (p - 2) for p in powers]
+        if x - h <= 1e-14:
+            a.append([(1.0, 0.0, 0.0)] + [(0.0, x ** p, (x + h) ** p) for p in powers[:2]])
+            b.append([0.0] + rhs[:2])
+        else:
+            a.append([[t ** p for t in (x - h, x, x + h)] for p in powers])
+            b.append(rhs)
+    return np.linalg.solve(np.array(a), np.array(b)[..., None])[..., 0]
 
 
 def _assemble(V: np.ndarray, h: float, nu_left: float,
@@ -111,20 +112,19 @@ def _assemble(V: np.ndarray, h: float, nu_left: float,
     """
     n = len(V)
     x = h * np.arange(1, n + 1)
-    m_rows = min(_CORRECTED_ROWS, n // 3)
+    m = min(_CORRECTED_ROWS, n // 3)
     c = 1 / h ** 2
     off = -c + (1 / 12) * V  # entry (i, j), |i - j| = 1, reads V[j]
     A = np.array([np.r_[0.0, off[:-1]], 2 * c + (10 / 12) * V, np.r_[off[1:], 0.0]])
     M = np.array([np.full(n, 1 / 12), np.full(n, 10 / 12), np.full(n, 1 / 12)])
-    for i in range(m_rows):
-        wm, w0, wp = _frobenius_stencil(x[i], h, nu_left)
-        _put_row(A, M, i, (-wm, -w0 + V[i], -wp))
-    if nu_right is None:
-        _put_row(A, M, n - 1, (-c, 2 * c + V[n - 1], 0.0))
-    else:
-        for i in range(n - m_rows, n):
-            wm, w0, wp = _frobenius_stencil(h * (n + 1) - x[i], h, nu_right)
-            _put_row(A, M, i, (-wp, -w0 + V[i], -wm))
+    # right-wall weights reversed, as the wall is mirrored; the Dirichlet row
+    # (-c, 2c + V, 0) is the reversed weights (c, -2c, 0)
+    right = np.array([[c, -2 * c, 0.0]]) if nu_right is None \
+        else _frobenius_stencils(h * (n + 1) - x[n - m:], h, nu_right)[:, ::-1]
+    for cols, w in ((slice(0, m), _frobenius_stencils(x[:m], h, nu_left)),
+                    (slice(n - len(right), n), right)):
+        A[:, cols] = -w[:, 0], -w[:, 1] + V[cols], -w[:, 2]
+        M[:, cols] = [[0.0], [1.0], [0.0]]
     return A, M
 
 

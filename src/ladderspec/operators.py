@@ -22,6 +22,15 @@ Realizations in the (theta, xi) chart use
 
     J0 = sin(theta) d_xi + cos(theta) coth(xi) d_theta
     J1 = cos(theta) d_xi - sin(theta) coth(xi) d_theta
+
+Every operator here is applied in one pass of the rule kernel
+`algebra._linear`, with no intermediate expressions.  Each family's D is
+compiled once per sign into rules: the derivative tables `D_THETA`, `D_XI`
+composed with the chart multipliers, the sign and the factor 1/2 folded
+into the factors.  An application adds the two label coefficients as
+multiplier rules.  The Hamiltonian takes d_xi f and d_theta f once each and
+makes one pass over (d_xi f, d_theta f, f); a 1D factor Hamiltonian one pass
+over (D f, f).
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (FunExpr, Monomial, RationalLike, _monomial, d_theta,
-                      d_xi, monomial, rational)
+from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _linear, _monomial,
+                      _rules, d_theta, d_xi, rational)
 
 HALF = Fraction(1, 2)
 
@@ -107,22 +116,8 @@ _TAN, _COT = (-1, 1, 0, 0), (1, -1, 0, 0)
 _TANH, _COTH = (0, 0, -1, 1), (0, 0, 1, -1)
 _TANH_COS, _COTH_SEC = (1, 0, -1, 1), (-1, 0, 1, -1)
 _TANH_SIN, _COTH_CSC = (0, 1, -1, 1), (0, -1, 1, -1)
-
-
-def _combo(coeffs: tuple[Fraction, ...], mults: tuple[tuple[int, ...], ...]) -> FunExpr:
-    return FunExpr.from_terms(
-        Monomial(c, Fraction(dp), Fraction(dq), Fraction(dr), Fraction(ds))
-        for c, (dp, dq, dr, ds) in zip(coeffs, mults) if c != 0)
-
-
-def apply_j0(f: FunExpr) -> FunExpr:
-    return monomial(1, 0, 1, 0, 0) * d_xi(f) \
-        + monomial(1, 1, 0, 1, -1) * d_theta(f)
-
-
-def apply_j1(f: FunExpr) -> FunExpr:
-    return monomial(1, 1, 0, 0, 0) * d_xi(f) \
-        - monomial(1, 0, 1, 1, -1) * d_theta(f)
+_ONE, _COS, _SIN = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)
+_SIN_COTH, _COS_COTH = (0, 1, 1, -1), (1, 0, 1, -1)
 
 
 class _Family(NamedTuple):
@@ -130,12 +125,15 @@ class _Family(NamedTuple):
 
     (x, y) are the label entries in `slots`; eps is the sign of the
     factorization constant and of the Casimir term, sigma the sign of x.  D
-    and (m_x, m_y) are given in the (theta, xi) chart and for the 1D factor
-    Hamiltonian `separated`.  The generators are odd under `odd_axes`.
+    is given in the (theta, xi) chart as (factor, multiplier, derivative)
+    terms, so J1 = cos d_xi - sin coth d_theta and J0 = sin d_xi +
+    cos coth d_theta; `deriv_1d` and `mults_1d` are D and (m_x, m_y) for the
+    1D factor Hamiltonian `separated`.  The generators are odd under
+    `odd_axes`.
     """
 
-    deriv: Callable[[FunExpr], FunExpr]
-    deriv_1d: Callable[[FunExpr], FunExpr]
+    deriv: tuple[tuple[int, tuple[int, ...], tuple], ...]
+    deriv_1d: tuple
     separated: str
     slots: tuple[int, int]
     mults: tuple[tuple[int, int, int, int], ...]
@@ -149,13 +147,27 @@ class _Family(NamedTuple):
 
 
 _FAMILIES: dict[str, _Family] = {
-    "A": _Family(d_theta, d_theta, "theta", (0, 1), (_TAN, _COT), (_TAN, _COT),
-                 +1, +1),
-    "B": _Family(apply_j1, d_xi, "chi", (0, 2), (_COTH_SEC, _TANH_COS),
-                 (_COTH, _TANH), -1, +1),
-    "C": _Family(apply_j0, d_xi, "beta", (1, 2), (_COTH_CSC, _TANH_SIN),
-                 (_COTH, _TANH), -1, -1, (2,)),
+    "A": _Family(((1, _ONE, D_THETA),), D_THETA, "theta", (0, 1), (_TAN, _COT),
+                 (_TAN, _COT), +1, +1),
+    "B": _Family(((1, _COS, D_XI), (-1, _SIN_COTH, D_THETA)), D_XI, "chi", (0, 2),
+                 (_COTH_SEC, _TANH_COS), (_COTH, _TANH), -1, +1),
+    "C": _Family(((1, _SIN, D_XI), (1, _COS_COTH, D_THETA)), D_XI, "beta", (1, 2),
+                 (_COTH_CSC, _TANH_SIN), (_COTH, _TANH), -1, -1, (2,)),
 }
+
+
+# family, sign -> compiled rules of sign*D/2 in the chart and of sign*D in 1D
+_DERIV_RULES = {(name, sign): sum((_rules(deriv, sign * a * HALF, shift)
+                                   for a, shift, deriv in fam.deriv), ())
+                for name, fam in _FAMILIES.items() for sign in (+1, -1)}
+_DERIV_RULES_1D = {(name, sign): _rules(fam.deriv_1d, sign)
+                   for name, fam in _FAMILIES.items() for sign in (+1, -1)}
+
+
+def _times(coeffs: tuple[Fraction, ...], mults: tuple, factor: Fraction = 1) -> tuple:
+    """Rules of the multiplication by sum_j coeffs[j] mults[j], times `factor`."""
+    return _rules(((None, c, m) for c, m in zip(coeffs, mults)), factor)
+
 
 # ladder generator -> (family, sign of D, reflected label axis or None)
 _GENERATORS: dict[OperatorName, tuple[str, int, int | None]] = {
@@ -187,7 +199,7 @@ LADDER_OPERATORS = tuple(op for op in OperatorName if op in _GENERATORS)
 LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
 LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 _BY_SHIFT = {SHIFTS[op]: op for op in LADDER_OPERATORS}
-_SEPARATED = {fam.separated: fam for fam in _FAMILIES.values()}
+_SEPARATED = {fam.separated: name for name, fam in _FAMILIES.items()}
 
 
 def _family(name: str) -> _Family:
@@ -208,9 +220,9 @@ def apply(op: OperatorName, st: LabeledState) -> LabeledState:
     v = list((label if sign > 0 else st.label).astuple())
     if axis is not None:
         v[axis] = -v[axis]
-    out = fam.deriv(st.expr).scale(sign) \
-        + _combo(fam.coeffs(v[fam.slots[0]], v[fam.slots[1]]), fam.mults) * st.expr
-    return LabeledState(label, out.scale(HALF))
+    rules = _DERIV_RULES[name, sign] \
+        + _times(fam.coeffs(v[fam.slots[0]], v[fam.slots[1]]), fam.mults, HALF)
+    return LabeledState(label, _linear((st.expr, rules)))
 
 
 def apply_word(word: OperatorWord, st: LabeledState) -> LabeledState:
@@ -232,20 +244,27 @@ def cprime(label: ParamPoint) -> Fraction:
     return label.l1 + label.l2 - label.l0
 
 
-def _theta_factor(f: FunExpr, x: Fraction, y: Fraction) -> FunExpr:
-    """-d_theta^2 + (y^2-1/4)/sin^2 + (x^2-1/4)/cos^2 applied to f."""
-    return -d_theta(d_theta(f)) \
-        + monomial(y * y - Fraction(1, 4), 0, -2, 0, 0) * f \
-        + monomial(x * x - Fraction(1, 4), -2, 0, 0, 0) * f
+QUARTER = Fraction(1, 4)
+# -d_xi - coth on d_xi f and -d_theta / sinh^2 on d_theta f
+_H_XI = _rules(D_XI, -1) + _rules([(None, -1, _COTH)])
+_H_THETA = _rules(D_THETA, -1, (0, 0, 0, -2))
+# 1/cosh^2, 1/(sin sinh)^2, 1/(cos sinh)^2 on f; 1/sinh^2, 1/cosh^2 and
+# 1/sin^2, 1/cos^2 in 1D
+_H_WALLS = ((0, 0, -2, 0), (0, -2, 0, -2), (-2, 0, 0, -2))
+_WALLS_1D = {D_XI: ((0, 0, 0, -2), (0, 0, -2, 0)), D_THETA: ((0, -2, 0, 0), (-2, 0, 0, 0))}
 
 
 def apply_hamiltonian(st: LabeledState) -> FunExpr:
-    """Exact image of the full Hamiltonian at the state's parameters."""
+    """Exact image of the full Hamiltonian at the state's parameters,
+
+        -d_xi^2 - coth d_xi - (l2^2-1/4)/cosh^2
+        + [-d_theta^2 + (l1^2-1/4)/sin^2 + (l0^2-1/4)/cos^2] / sinh^2,
+
+    as one pass over (d_xi f, d_theta f, f)."""
     l0, l1, l2 = st.label.astuple()
     f = st.expr
-    return -d_xi(d_xi(f)) - monomial(1, 0, 0, 1, -1) * d_xi(f) \
-        - monomial(l2 * l2 - Fraction(1, 4), 0, 0, -2, 0) * f \
-        + monomial(1, 0, 0, 0, -2) * _theta_factor(f, l0, l1)
+    walls = _times((QUARTER - l2 * l2, l1 * l1 - QUARTER, l0 * l0 - QUARTER), _H_WALLS)
+    return _linear((d_xi(f), _H_XI), (d_theta(f), _H_THETA), (f, walls))
 
 
 def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
@@ -271,15 +290,14 @@ def apply_separated(which: str, f: FunExpr,
     """
     if which not in _SEPARATED:
         raise ValueError(f"unknown separated Hamiltonian {which!r}")
-    x, y = rational(params[0]), rational(params[1])
-    hyperbolic = _SEPARATED[which].deriv_1d is d_xi
-    _require_pair(f, hyperbolic, which)
-    if not hyperbolic:
-        return _theta_factor(f, x, y)
-    quarter = Fraction(1, 4)
-    return -d_xi(d_xi(f)) \
-        + monomial(x * x - quarter, 0, 0, 0, -2) * f \
-        - monomial(y * y - quarter, 0, 0, -2, 0) * f
+    name = _SEPARATED[which]
+    deriv = _FAMILIES[name].deriv_1d
+    _require_pair(f, deriv is D_XI, which)
+    cx, cy = rational(params[0]) ** 2 - QUARTER, rational(params[1]) ** 2 - QUARTER
+    walls = _times((cx, -cy) if deriv is D_XI else (cy, cx), _WALLS_1D[deriv])
+    # -D^2 f = -D (D f): D f once, then -D as the sign -1 rules of D
+    return _linear((_linear((f, _DERIV_RULES_1D[name, +1])), _DERIV_RULES_1D[name, -1]),
+                   (f, walls))
 
 
 def separated_ladder(family: str, sign: int,
@@ -291,8 +309,9 @@ def separated_ladder(family: str, sign: int,
     family 'C', indices (b, c): +-d_beta + (c+1/2) tanh + (-b+1/2) coth
     """
     fam = _family(family)
-    w = _combo(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
-    return lambda f: fam.deriv_1d(f).scale(sign) + w * f
+    rules = _DERIV_RULES_1D[family, sign] \
+        + _times(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
+    return lambda f: _linear((f, rules))
 
 
 def separated_eigenvalue(family: str,
@@ -342,15 +361,13 @@ def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunEx
     """
     dn, up = _BY_KEY[(family, -1, None)], _BY_KEY[(family, +1, None)]
     upper = label.shifted(SHIFTS[dn])
-    lo_st = LabeledState(label, probe)
-    res1 = apply(dn, LabeledState(label, apply_hamiltonian(lo_st))).expr \
-        - apply_hamiltonian(LabeledState(upper, apply(dn, lo_st).expr))
-    if not res1.is_zero:
-        return res1
-    hi_st = LabeledState(upper, probe)
-    res2 = apply(up, LabeledState(upper, apply_hamiltonian(hi_st))).expr \
-        - apply_hamiltonian(LabeledState(label, apply(up, hi_st).expr))
-    return res2
+    for op, src, dst in ((dn, label, upper), (up, upper, label)):
+        st = LabeledState(src, probe)
+        res = apply(op, LabeledState(src, apply_hamiltonian(st))).expr \
+            - apply_hamiltonian(LabeledState(dst, apply(op, st).expr))
+        if not res.is_zero:
+            break
+    return res
 
 
 def reflect(i: int, op: OperatorName) -> tuple[int, OperatorName]:

@@ -95,6 +95,14 @@ class TestOutFile:
         assert path.read_text(encoding="utf-8") + "\n" == printed
 
 
+    def test_stdout_ends_with_a_newline_after_the_last_chunk(self, capsys):
+        from ladderspec.cli import _emit
+        for chunks, printed in (([], "\n"), (["a", "b"], "ab\n"), (["a", "b\n"], "ab\n"),
+                                (["a\n", ""], "a\n\n"), (["a\n", "b"], "a\nb\n")):
+            _emit(iter(chunks), None)
+            assert capsys.readouterr().out == printed
+
+
 class TestSpectrum:
     def test_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--l0", "0", "--l1", "0",
@@ -253,6 +261,24 @@ class TestSample:
                 for ln in out.strip().splitlines()[1:]]
         assert len(rows) == 16
         assert all(v > 0 if xi == 125 else v == 0 for _, xi, v in rows)
+
+    def test_streamed_rows_match_joined_form(self, capsys, tmp_path):
+        # the rows go out one theta line at a time, as the bytes of one join
+        import numpy as np
+        from ladderspec import OperatorName as O, apply_word, eval_grid, ground_full, normalize
+        st, _ = normalize(apply_word((O.C_PLUS, O.A_PLUS), ground_full(1, -4)))
+        n, cutoff = 7, 3.0
+        thetas = (np.arange(1, n + 1) - 0.5) * (np.pi / 2) / n
+        xis = (np.arange(1, n + 1) - 0.5) * cutoff / n
+        vals = eval_grid(st.expr, thetas, xis)
+        joined = "\n".join(["theta,xi,value"] + [
+            f"{th:.17g},{xx:.17g},{vals[i, j]:.17g}"
+            for i, th in enumerate(thetas) for j, xx in enumerate(xis)])
+        argv = ("sample", "--l0=1", "--l2=-4", "--word=C+,A+", "--grid=7", "--cutoff=3")
+        path = tmp_path / "sample.csv"
+        assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == joined.encode()
+        assert run_cli(capsys, *argv)[:2] == (0, joined + "\n")
 
     def test_zero_grid_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--l0", "0", "--l2", "-5",
