@@ -329,7 +329,7 @@ class FunExpr:
     def shift_exponents(self, dp: RationalLike = 0, dq: RationalLike = 0,
                         dr: RationalLike = 0, ds: RationalLike = 0) -> "FunExpr":
         """Multiply by cos^dp sin^dq cosh^dr sinh^ds."""
-        return _linear((self, _rules([(None, 1, (dp, dq, dr, ds))])))
+        return _linear((self, _rules([(None, 1, tuple(map(rational, (dp, dq, dr, ds))))])))
 
     def __str__(self) -> str:
         if not self.classes:

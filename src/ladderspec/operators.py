@@ -292,8 +292,8 @@ def apply_separated(which: str, f: FunExpr,
         raise ValueError(f"unknown separated Hamiltonian {which!r}")
     name = _SEPARATED[which]
     deriv = _FAMILIES[name].deriv_1d
-    _require_pair(f, deriv is D_XI, which)
     cx, cy = rational(params[0]) ** 2 - QUARTER, rational(params[1]) ** 2 - QUARTER
+    _require_pair(f, deriv is D_XI, which)
     walls = _times((cx, -cy) if deriv is D_XI else (cy, cx), _WALLS_1D[deriv])
     # -D^2 f = -D (D f): D f once, then -D as the sign -1 rules of D
     return _linear((_linear((f, _DERIV_RULES_1D[name, +1])), _DERIV_RULES_1D[name, -1]),
@@ -309,7 +309,7 @@ def separated_ladder(family: str, sign: int,
     family 'C', indices (b, c): +-d_beta + (c+1/2) tanh + (-b+1/2) coth
     """
     fam = _family(family)
-    rules = _DERIV_RULES_1D[family, sign] \
+    rules = _rules(fam.deriv_1d, sign) \
         + _times(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
     return lambda f: _linear((f, rules))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderspec import (FunExpr, LabeledState, ParamPoint, apply_hamiltonian,
-                        apply_separated, d_theta, d_xi, monomial)
+                        apply_separated, d_theta, d_xi, monomial, separated_ladder)
 from ladderspec.algebra import (Classes, Monomial, _class_sum, _expand,
                                 _split_monomial)
 
@@ -126,6 +126,7 @@ def test_derivatives_match_per_class_form(f):
                                    min_size=4, max_size=4))
 def test_shift_exponents_matches_monomial_product(f, shift):
     assert_same(f.shift_exponents(*shift), oracle_shift_exponents(f, shift))
+    assert_same(f.shift_exponents(*map(str, shift)), oracle_shift_exponents(f, shift))
 
 
 @given(exprs(max_size=5), exprs(max_size=5))
@@ -148,3 +149,14 @@ def test_separated_matches_composition_form(which, x, y, data):
     f = data.draw(exprs(theta=which == "theta", hyperbolic=which != "theta"))
     assert_same(apply_separated(which, f, (x, y)),
                 oracle_apply_separated(which, f, x, y))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from("ABC"), rationals, rationals, rationals, st.data())
+def test_separated_ladder_is_affine_in_its_sign(family, sign, x, y, data):
+    # sign * D + multipliers, for any rational sign, not only +-1
+    f = data.draw(exprs(theta=family == "A", hyperbolic=family != "A"))
+
+    def at(s):
+        return separated_ladder(family, s, (x, y))(f)
+    assert_same(at(sign) - at(0), (at(1) - at(0)).scale(sign))
