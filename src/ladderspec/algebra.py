@@ -291,22 +291,27 @@ class FunExpr:
         return FunExpr.from_classes({cls: {k: fn(c) for k, c in row.items()}
                                      for cls, row in self.classes.items()})
 
-    def __add__(self, other: "FunExpr", negate: bool = False) -> "FunExpr":
-        """self + other, or self - other when `negate`, as one merge."""
+    def __add__(self, other: "FunExpr") -> "FunExpr":
         out = {cls: dict(row) for cls, row in self.classes.items()}
         for cls, row in other.classes.items():
             acc = out.setdefault(cls, {})
             for k, c in row.items():
                 old = acc.get(k)
-                c = -c if negate else c
                 acc[k] = c if old is None else old + c
         return FunExpr._pruned(out)
 
-    def __sub__(self, other: "FunExpr") -> "FunExpr":
-        return self.__add__(other, True)
-
     def __neg__(self) -> "FunExpr":
         return self._map(Fraction.__neg__)
+
+    def __sub__(self, other: "FunExpr") -> "FunExpr":
+        """The same merge as `+`, subtracting, with no negated copy."""
+        out = {cls: dict(row) for cls, row in self.classes.items()}
+        for cls, row in other.classes.items():
+            acc = out.setdefault(cls, {})
+            for k, c in row.items():
+                old = acc.get(k)
+                acc[k] = -c if old is None else old - c
+        return FunExpr._pruned(out)
 
     def __mul__(self, other: "FunExpr") -> "FunExpr":
         out: Classes = {}

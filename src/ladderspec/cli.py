@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from typing import Iterable
 
 from . import identities, spectra
@@ -155,14 +156,9 @@ def cmd_sample(args) -> int:
     xis = (np.arange(1, n + 1) - 0.5) * args.cutoff / n
     vals = eval_grid(st.expr, thetas, xis)
     xs = [f"{xx:.17g}" for xx in xis]
-
-    def rows():  # one theta line of the n^2 CSV rows at a time
-        yield "theta,xi,value"
-        for th, line in zip(thetas, vals):
-            t = f"{th:.17g}"
-            yield "".join(f"\n{t},{xx},{v:.17g}" for xx, v in zip(xs, line.tolist()))
-
-    _emit(rows(), args.out)
+    rows = ("".join(f"\n{t},{xx},{v:.17g}" for xx, v in zip(xs, line.tolist()))
+            for t, line in zip([f"{th:.17g}" for th in thetas], vals))
+    _emit(chain(["theta,xi,value"], rows), args.out)  # one theta line at a time
     return EXIT_OK
 
 

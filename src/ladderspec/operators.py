@@ -156,12 +156,10 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-# family, sign -> compiled rules of sign*D/2 in the chart and of sign*D in 1D
+# family, sign -> compiled rules of sign*D/2 in the chart
 _DERIV_RULES = {(name, sign): sum((_rules(deriv, sign * a * HALF, shift)
                                    for a, shift, deriv in fam.deriv), ())
                 for name, fam in _FAMILIES.items() for sign in (+1, -1)}
-_DERIV_RULES_1D = {(name, sign): _rules(fam.deriv_1d, sign)
-                   for name, fam in _FAMILIES.items() for sign in (+1, -1)}
 
 
 def _times(coeffs: tuple[Fraction, ...], mults: tuple, factor: Fraction = 1) -> tuple:
@@ -199,7 +197,7 @@ LADDER_OPERATORS = tuple(op for op in OperatorName if op in _GENERATORS)
 LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
 LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 _BY_SHIFT = {SHIFTS[op]: op for op in LADDER_OPERATORS}
-_SEPARATED = {fam.separated: name for name, fam in _FAMILIES.items()}
+_SEPARATED = {fam.separated: fam for fam in _FAMILIES.values()}
 
 
 def _family(name: str) -> _Family:
@@ -248,10 +246,10 @@ QUARTER = Fraction(1, 4)
 # -d_xi - coth on d_xi f and -d_theta / sinh^2 on d_theta f
 _H_XI = _rules(D_XI, -1) + _rules([(None, -1, _COTH)])
 _H_THETA = _rules(D_THETA, -1, (0, 0, 0, -2))
-# 1/cosh^2, 1/(sin sinh)^2, 1/(cos sinh)^2 on f; 1/sinh^2, 1/cosh^2 and
-# 1/sin^2, 1/cos^2 in 1D
+# 1/cosh^2, 1/(sin sinh)^2, 1/(cos sinh)^2 on f; in 1D 1/sin^2, 1/cos^2
+# (theta) and 1/sinh^2, 1/cosh^2 (hyperbolic)
 _H_WALLS = ((0, 0, -2, 0), (0, -2, 0, -2), (-2, 0, 0, -2))
-_WALLS_1D = {D_XI: ((0, 0, 0, -2), (0, 0, -2, 0)), D_THETA: ((0, -2, 0, 0), (-2, 0, 0, 0))}
+_WALLS_1D = (((0, -2, 0, 0), (-2, 0, 0, 0)), ((0, 0, 0, -2), (0, 0, -2, 0)))
 
 
 def apply_hamiltonian(st: LabeledState) -> FunExpr:
@@ -290,14 +288,13 @@ def apply_separated(which: str, f: FunExpr,
     """
     if which not in _SEPARATED:
         raise ValueError(f"unknown separated Hamiltonian {which!r}")
-    name = _SEPARATED[which]
-    deriv = _FAMILIES[name].deriv_1d
     cx, cy = rational(params[0]) ** 2 - QUARTER, rational(params[1]) ** 2 - QUARTER
-    _require_pair(f, deriv is D_XI, which)
-    walls = _times((cx, -cy) if deriv is D_XI else (cy, cx), _WALLS_1D[deriv])
-    # -D^2 f = -D (D f): D f once, then -D as the sign -1 rules of D
-    return _linear((_linear((f, _DERIV_RULES_1D[name, +1])), _DERIV_RULES_1D[name, -1]),
-                   (f, walls))
+    deriv = _SEPARATED[which].deriv_1d
+    hyperbolic = deriv is D_XI
+    _require_pair(f, hyperbolic, which)
+    walls = _times((cx, -cy) if hyperbolic else (cy, cx), _WALLS_1D[hyperbolic])
+    # -D^2 f = -D (D f): D f once, then one pass of -D and the walls
+    return _linear(((d_xi if hyperbolic else d_theta)(f), _rules(deriv, -1)), (f, walls))
 
 
 def separated_ladder(family: str, sign: int,
@@ -361,13 +358,15 @@ def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunEx
     """
     dn, up = _BY_KEY[(family, -1, None)], _BY_KEY[(family, +1, None)]
     upper = label.shifted(SHIFTS[dn])
-    for op, src, dst in ((dn, label, upper), (up, upper, label)):
-        st = LabeledState(src, probe)
-        res = apply(op, LabeledState(src, apply_hamiltonian(st))).expr \
-            - apply_hamiltonian(LabeledState(dst, apply(op, st).expr))
-        if not res.is_zero:
-            break
-    return res
+    lo_st = LabeledState(label, probe)
+    res1 = apply(dn, LabeledState(label, apply_hamiltonian(lo_st))).expr \
+        - apply_hamiltonian(LabeledState(upper, apply(dn, lo_st).expr))
+    if not res1.is_zero:
+        return res1
+    hi_st = LabeledState(upper, probe)
+    res2 = apply(up, LabeledState(upper, apply_hamiltonian(hi_st))).expr \
+        - apply_hamiltonian(LabeledState(label, apply(up, hi_st).expr))
+    return res2
 
 
 def reflect(i: int, op: OperatorName) -> tuple[int, OperatorName]:

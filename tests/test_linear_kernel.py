@@ -1,12 +1,13 @@
 """Differential tests of the one-pass operator kernel `algebra._linear`.
 
-The derivatives, `shift_exponents`, the Hamiltonian, the 1D factor
-Hamiltonians and every ladder generator apply their rules to an expression in
-one pass of `_linear`.  The oracles below are the earlier composition forms of
-the same operators: per-class derivatives, products with `monomial`
+The Hamiltonian, the 1D factor Hamiltonians and every ladder generator apply
+their rules to an expression in one pass of `_linear`, and `-` merges its two
+operands directly.  The oracles below are the earlier composition forms of
+the same operators: repeated derivatives, products with `monomial`
 multipliers, negated copies and sums of intermediate expressions.  Both must
-give identical normal forms.  The ladder generators have their own oracle in
-test_operator_tables.py.
+give identical normal forms.  The derivatives and `shift_exponents` are
+checked against Monomial-level oracles in test_normal_form.py, the ladder
+generators against their own oracle in test_operator_tables.py.
 """
 
 from fractions import Fraction
@@ -16,52 +17,15 @@ from hypothesis import strategies as st
 
 from ladderspec import (FunExpr, LabeledState, ParamPoint, apply_hamiltonian,
                         apply_separated, d_theta, d_xi, monomial, separated_ladder)
-from ladderspec.algebra import (Classes, Monomial, _class_sum, _expand,
-                                _split_monomial)
+from ladderspec.algebra import Monomial
 
 QUARTER = Fraction(1, 4)
 
 
 # --- reference oracle: the composition forms --------------------------------
 
-def _rule(i: int, sign: int, *shift: int) -> tuple:
-    return (i, sign) + _split_monomial(Monomial(Fraction(1), *map(Fraction, shift)))
-
-
-_D_THETA = (_rule(0, -1, -1, 1, 0, 0), _rule(1, 1, 1, -1, 0, 0))
-_D_XI = (_rule(2, 1, 0, 0, -1, 1), _rule(3, 1, 0, 0, 1, -1))
-
-
-def _derivative(f: FunExpr, rules: tuple) -> FunExpr:
-    """One derivative by itself: per class, two shifted images per term."""
-    out: Classes = {}
-    for cls, row in f.classes.items():
-        for i, sign, dcls, doffs in rules:
-            new, carry = _class_sum(cls, dcls)
-            tP, tQ, tR, tS = (a + b for a, b in zip(carry, doffs))
-            n, d = cls[2 * i], cls[2 * i + 1]
-            acc = out.setdefault(new, {})
-            for k, c in row.items():
-                if n or k[i]:
-                    e = Fraction(sign * (n + 2 * d * k[i]), d)
-                    _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS, c * e)
-    return FunExpr._pruned(out)
-
-
-def oracle_d_theta(f: FunExpr) -> FunExpr:
-    return _derivative(f, _D_THETA)
-
-
-def oracle_d_xi(f: FunExpr) -> FunExpr:
-    return _derivative(f, _D_XI)
-
-
 def oracle_sub(a: FunExpr, b: FunExpr) -> FunExpr:
     return a + (-b)
-
-
-def oracle_shift_exponents(f: FunExpr, shift) -> FunExpr:
-    return f * monomial(1, *shift)
 
 
 def oracle_theta_factor(f: FunExpr, x: Fraction, y: Fraction) -> FunExpr:
@@ -69,14 +33,14 @@ def oracle_theta_factor(f: FunExpr, x: Fraction, y: Fraction) -> FunExpr:
     return oracle_sub(
         monomial(y * y - QUARTER, 0, -2, 0, 0) * f
         + monomial(x * x - QUARTER, -2, 0, 0, 0) * f,
-        oracle_d_theta(oracle_d_theta(f)))
+        d_theta(d_theta(f)))
 
 
 def oracle_apply_hamiltonian(s: LabeledState) -> FunExpr:
     l0, l1, l2 = s.label.astuple()
     f = s.expr
-    out = -oracle_d_xi(oracle_d_xi(f))
-    out = oracle_sub(out, monomial(1, 0, 0, 1, -1) * oracle_d_xi(f))
+    out = -d_xi(d_xi(f))
+    out = oracle_sub(out, monomial(1, 0, 0, 1, -1) * d_xi(f))
     out = oracle_sub(out, monomial(l2 * l2 - QUARTER, 0, 0, -2, 0) * f)
     return out + monomial(1, 0, 0, 0, -2) * oracle_theta_factor(f, l0, l1)
 
@@ -85,7 +49,7 @@ def oracle_apply_separated(which: str, f: FunExpr, x: Fraction,
                            y: Fraction) -> FunExpr:
     if which == "theta":
         return oracle_theta_factor(f, x, y)
-    out = -oracle_d_xi(oracle_d_xi(f)) + monomial(x * x - QUARTER, 0, 0, 0, -2) * f
+    out = -d_xi(d_xi(f)) + monomial(x * x - QUARTER, 0, 0, 0, -2) * f
     return oracle_sub(out, monomial(y * y - QUARTER, 0, 0, -2, 0) * f)
 
 
@@ -115,19 +79,6 @@ def assert_same(got: FunExpr, want: FunExpr) -> None:
 
 
 # --- tests ----------------------------------------------------------------
-
-@given(exprs(max_size=5))
-def test_derivatives_match_per_class_form(f):
-    assert_same(d_theta(f), oracle_d_theta(f))
-    assert_same(d_xi(f), oracle_d_xi(f))
-
-
-@given(exprs(max_size=5), st.lists(st.fractions(-5, 5, max_denominator=4),
-                                   min_size=4, max_size=4))
-def test_shift_exponents_matches_monomial_product(f, shift):
-    assert_same(f.shift_exponents(*shift), oracle_shift_exponents(f, shift))
-    assert_same(f.shift_exponents(*map(str, shift)), oracle_shift_exponents(f, shift))
-
 
 @given(exprs(max_size=5), exprs(max_size=5))
 def test_sub_matches_negated_sum(a, b):

@@ -236,6 +236,8 @@ def test_scale_matches_oracle(f, c):
                        max_size=4))
 def test_shift_exponents_matches_oracle(f, shift):
     assert_same(f.shift_exponents(*shift), oracle_shift_exponents(f, *shift))
+    # exact strings, as `monomial` and the other constructors accept them
+    assert_same(f.shift_exponents(*map(str, shift)), oracle_shift_exponents(f, *shift))
 
 
 @given(exprs)
