@@ -99,17 +99,16 @@ def cmd_verify(args) -> int:
 
 
 def _lattice_doc(args):
+    """The vertex, the nodes and the edges (source key, operator, target key)
+    of a lattice; a label's key is its entries joined by commas."""
     vertex = ParamPoint.of(args.l0, 0, args.l2)
     pts = spectra.enumerate_lattice(vertex, args.algebra, args.depth)
-    nodes = [{"label": [str(x) for x in pt.label.astuple()],
+    keys = {pt.label: ",".join(str(x) for x in pt.label.astuple()) for pt in pts}
+    nodes = [{"label": keys[pt.label].split(","),
               "depth": pt.depth, "degeneracy": pt.degeneracy} for pt in pts]
-    reach = {pt.label for pt in pts}
-    edges = []
-    for pt in pts:
-        for op in spectra.RAISING[args.algebra]:
-            dst = pt.label.shifted(SHIFTS[op])
-            if dst in reach:
-                edges.append((pt.label, op, dst))
+    edges = [(keys[pt.label], op.value, keys[dst]) for pt in pts
+             for op in spectra.RAISING[args.algebra]
+             if (dst := pt.label.shifted(SHIFTS[op])) in keys]
     return vertex, nodes, edges
 
 
@@ -121,9 +120,7 @@ def cmd_lattice(args) -> int:
             lab = ",".join(nd["label"])
             lines.append(f'  "{lab}" [label="({lab})\\ndeg={nd["degeneracy"]}"];')
         for src, op, dst in edges:
-            s = ",".join(str(x) for x in src.astuple())
-            d = ",".join(str(x) for x in dst.astuple())
-            lines.append(f'  "{s}" -> "{d}" [label="{op.value}"];')
+            lines.append(f'  "{src}" -> "{dst}" [label="{op}"];')
         lines.append("}")
         _emit("\n".join(lines), args.out)
     else:
@@ -132,8 +129,7 @@ def cmd_lattice(args) -> int:
             "algebra": args.algebra,
             "energy": str(spectra.vertex_energy(vertex.l0, vertex.l2)),
             "nodes": nodes,
-            "edges": [[",".join(str(x) for x in s.astuple()), op.value,
-                       ",".join(str(x) for x in d.astuple())] for s, op, d in edges],
+            "edges": edges,
         }
         _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
@@ -168,21 +164,20 @@ def cmd_crosscheck(args) -> int:
     target = ParamPoint.of(args.l0, args.l1, args.l2)
     grid = numeric.GridSpec("xi", args.grid, cutoff=args.cutoff)
     report = spectra.bound_spectrum(target)
-    l0, l1 = rational(args.l0), rational(args.l1)
     # separation constants from the angular ladder, at most 65 channels;
     # channels stop binding once sqrt(alpha) clears the well depth
-    numeric_hits: list[tuple[float, float]] = []
+    numeric_hits: list[float] = []
     for n_ch in range(65):
-        alpha = float((1 + l0 + l1 + 2 * n_ch)) ** 2
-        res = numeric.solve_xi(rational(args.l2), alpha, grid)
+        alpha = float((1 + target.l0 + target.l1 + 2 * n_ch)) ** 2
+        res = numeric.solve_xi(target.l2, alpha, grid)
         if not res.eigenvalues:
             break
-        numeric_hits.extend((alpha, e) for e in res.eigenvalues)
+        numeric_hits.extend(res.eigenvalues)
     rows = []
     worst = 0.0
     for lv in report.levels:
         e_alg = float(lv.energy)
-        close = [e for _, e in numeric_hits if abs(e - e_alg) < 0.25]
+        close = [e for e in numeric_hits if abs(e - e_alg) < 0.25]
         # a level without a numeric partner is written as null and fails
         e_num = min(close, key=lambda e: abs(e - e_alg)) if close else None
         delta = abs(e_num - e_alg) if close else None

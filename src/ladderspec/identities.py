@@ -123,14 +123,14 @@ def _factorization_residuals(family: str, x: Fraction, y: Fraction,
     """Both factorized forms of the 1D factor Hamiltonian at indices (x, y);
     the second one factorizes at the partner indices (x - sigma, y - 1)."""
     fam = ops._FAMILIES[family]
-    shifted = (x - fam.sigma, y - 1)
     h = apply_separated(fam.separated, probe, (x, y))
-    up, dn = separated_ladder(family, +1, (x, y)), separated_ladder(family, -1, (x, y))
-    res1 = h - (up(dn(probe)) + probe.scale(separated_eigenvalue(family, (x, y))))
-    up2 = separated_ladder(family, +1, shifted)
-    dn2 = separated_ladder(family, -1, shifted)
-    res2 = h - (dn2(up2(probe)) + probe.scale(separated_eigenvalue(family, shifted)))
-    return [res1, res2]
+    residuals = []
+    # (indices, signs of the factor applied second and of the one applied first)
+    for idx, signs in (((x, y), (+1, -1)), ((x - fam.sigma, y - 1), (-1, +1))):
+        second, first = (separated_ladder(family, s, idx) for s in signs)
+        product = second(first(probe))
+        residuals.append(h - (product + probe.scale(separated_eigenvalue(family, idx))))
+    return residuals
 
 
 def _detail(res: FunExpr, where: str = "") -> str:

@@ -16,7 +16,9 @@ X+- = +-D - eps (sigma x + 1/2) m_x + (y + 1/2) m_y at its label slots
 eps (1 + sigma x + y)^2 with partner indices (x - sigma, y - 1), the
 diagonal eigenvalue -(sigma x + y)/2 with [X-, X+] = -2 eps X, the Casimir
 term eps X+ X-, and the raising shift (-sigma, -1) on (x, y), negated for
-lowering and on the reflected axis for a tilde generator.
+lowering and on the reflected axis for a tilde generator.  A tilde
+generator reflects its family's x slot, so the twelve ladder generators,
+`_GENERATORS`, are derived from `_FAMILIES` by family, sign and tilde.
 
 Realizations in the (theta, xi) chart use
 
@@ -167,15 +169,12 @@ def _times(coeffs: tuple[Fraction, ...], mults: tuple, factor: Fraction = 1) -> 
     return _rules(((None, c, m) for c, m in zip(coeffs, mults)), factor)
 
 
-# ladder generator -> (family, sign of D, reflected label axis or None)
+# ladder generator -> (family, sign of D, reflected label axis or None); a
+# tilde generator reflects its family's sigma-signed slot x
 _GENERATORS: dict[OperatorName, tuple[str, int, int | None]] = {
-    O.A_PLUS: ("A", +1, None), O.A_MINUS: ("A", -1, None),
-    O.ATILDE_PLUS: ("A", +1, 0), O.ATILDE_MINUS: ("A", -1, 0),
-    O.B_PLUS: ("B", +1, None), O.B_MINUS: ("B", -1, None),
-    O.BTILDE_PLUS: ("B", +1, 0), O.BTILDE_MINUS: ("B", -1, 0),
-    O.C_PLUS: ("C", +1, None), O.C_MINUS: ("C", -1, None),
-    O.CTILDE_PLUS: ("C", +1, 1), O.CTILDE_MINUS: ("C", -1, 1),
-}
+    O(f"{name}{tilde}{pm}"): (name, sign, fam.slots[0] if tilde else None)
+    for name, fam in _FAMILIES.items() for tilde in ("", "tilde")
+    for sign, pm in ((+1, "+"), (-1, "-"))}
 _BY_KEY = {key: op for op, key in _GENERATORS.items()}
 
 
@@ -358,15 +357,13 @@ def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunEx
     """
     dn, up = _BY_KEY[(family, -1, None)], _BY_KEY[(family, +1, None)]
     upper = label.shifted(SHIFTS[dn])
-    lo_st = LabeledState(label, probe)
-    res1 = apply(dn, LabeledState(label, apply_hamiltonian(lo_st))).expr \
-        - apply_hamiltonian(LabeledState(upper, apply(dn, lo_st).expr))
-    if not res1.is_zero:
-        return res1
-    hi_st = LabeledState(upper, probe)
-    res2 = apply(up, LabeledState(upper, apply_hamiltonian(hi_st))).expr \
-        - apply_hamiltonian(LabeledState(label, apply(up, hi_st).expr))
-    return res2
+    for op, src, dst in ((dn, label, upper), (up, upper, label)):
+        st = LabeledState(src, probe)
+        res = apply(op, LabeledState(src, apply_hamiltonian(st))).expr \
+            - apply_hamiltonian(LabeledState(dst, apply(op, st).expr))
+        if not res.is_zero:
+            break
+    return res
 
 
 def reflect(i: int, op: OperatorName) -> tuple[int, OperatorName]:

@@ -168,7 +168,8 @@ def _walk(vertex: ParamPoint, algebra: str, max_depth: int | None = None,
     images are pruned.  A state is kept only if it is independent of the
     states kept at its label, and only kept states grow, so each label keeps
     a basis of its generated states.  With a target, only labels from which
-    it is reachable are entered.  Returns label -> (minimal depth,
+    it is reachable are entered, so a vertex that cannot reach it yields
+    only its own entry.  Returns label -> (minimal depth,
     [(witness word, state)]), words written right-to-left.
     """
     if max_depth is not None and max_depth < 0:
@@ -180,8 +181,6 @@ def _walk(vertex: ParamPoint, algebra: str, max_depth: int | None = None,
     if vertex.l1 != 0:
         raise AdmissibilityError(f"vertices carry l1 = 0, got {vertex}")
     vstate = ground_full(vertex.l0, vertex.l2)
-    if target is not None and not _reaches(vstate.label, target, algebra):
-        return {}
     found: dict[ParamPoint, tuple[int, list[tuple[Word, LabeledState]]]] = {}
     bases: dict[ParamPoint, list] = {}
     frontier = [((), vstate)]
@@ -318,7 +317,8 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     A vertex (l0', 0, l2') reaches the target only with l0' = l0 + k and
     l2' = l2 + l1 + k for a nonnegative word count k, so candidate level sums
     l0'+l2' walk upward in steps of two until normalizability (sum < -5/2)
-    fails.  Levels come out sorted by increasing energy.  Each level's
+    fails.  The levels come out in ascending energy with no sort, since
+    E = -(s+3/2)(s+5/2) increases with the sum s wherever s < -2.  Each level's
     degeneracy is the exact rank over Q of the states its vertex generates
     at the target, and its witnesses are the sorted words of a basis of
     them, with the normalizations aligned to the witnesses.
@@ -345,6 +345,5 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
         raise AdmissibilityError(
             f"no admissible vertex reaches {target}; Hamiltonian has no "
             "ladder-generated bound states")
-    order = sorted(range(len(levels)), key=lambda i: levels[i].energy)
-    return SpectrumReport(target, tuple(levels[i] for i in order),
-                          tuple(norms[i] for i in order))
+    # sigma grows by 2 per k and E(sigma) increases for sigma < -2: ascending
+    return SpectrumReport(target, tuple(levels), tuple(norms))

@@ -12,6 +12,7 @@ from ladderspec import (FunExpr, LabeledState, OperatorName, ParamPoint,
                         ground_full, ground_theta, hamiltonian_from_casimir,
                         inner, monomial, reflect, separated_eigenvalue,
                         separated_ladder, verify_intertwining)
+from ladderspec import operators
 from ladderspec.operators import LOWERING_SO42, SHIFTS
 
 O = OperatorName
@@ -202,6 +203,26 @@ class TestIntertwining:
     def test_specific_label(self):
         assert verify_intertwining("A", ParamPoint.of(1, 1, -4),
                                    monomial(1, "1/2", "3/2", -2, 1)).is_zero
+
+    @pytest.mark.parametrize("broken", [O.A_PLUS, O.A_MINUS])
+    def test_failing_relation_returns_its_residual(self, broken, monkeypatch):
+        # X H - H' X is linear in X, so a scaled X still intertwines; X + 1
+        # does not, and leaves the residual (H_src - H_dst) f of its relation
+        real = operators.apply
+
+        def perturbed(op, st):
+            out = real(op, st)
+            return LabeledState(out.label, out.expr + st.expr) if op is broken else out
+
+        monkeypatch.setattr(operators, "apply", perturbed)
+        label, probe = ParamPoint.of(1, 1, -4), monomial(1, "1/2", "3/2", -2, 1)
+        upper = label.shifted(SHIFTS[O.A_MINUS])
+        h_lo = apply_hamiltonian(LabeledState(label, probe))
+        h_hi = apply_hamiltonian(LabeledState(upper, probe))
+        # the lowering relation runs on label -> upper, the raising one back
+        expected = h_hi - h_lo if broken is O.A_PLUS else h_lo - h_hi
+        assert not expected.is_zero
+        assert verify_intertwining("A", label, probe) == expected
 
 
 class TestReflect:
