@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import identities, spectra
-from .algebra import eval_grid, is_normalizable, rational
+from .algebra import eval_grid, is_normalizable
 from .operators import (SHIFTS, OperatorName, ParamPoint, apply_hamiltonian,
                         apply_word)
 from .spectra import AdmissibilityError
@@ -63,7 +63,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_state(args) -> int:
-    st = spectra.ground_full(rational(args.l0), rational(args.l2))
+    st = spectra.ground_full(args.l0, args.l2)
     word = _parse_word(args.word)
     st = apply_word(word, st)
     doc = {
@@ -76,7 +76,7 @@ def cmd_state(args) -> int:
         doc["zero"] = True
     else:
         himg = apply_hamiltonian(st)
-        e = spectra.vertex_energy(rational(args.l0), rational(args.l2))
+        e = spectra.vertex_energy(args.l0, args.l2)
         doc["eigenvalue"] = str(e) if (himg - st.expr.scale(e)).is_zero else None
         if is_normalizable(st.expr):
             doc["normalization"] = spectra.normalize(st)[1]
@@ -142,7 +142,7 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.cutoff) and args.cutoff > 0):
         raise ValueError(f"--cutoff must be finite and positive, got {args.cutoff}")
-    st = spectra.ground_full(rational(args.l0), rational(args.l2))
+    st = spectra.ground_full(args.l0, args.l2)
     st = apply_word(_parse_word(args.word), st)
     if st.is_zero:
         raise AdmissibilityError("the requested state is identically zero")
@@ -161,9 +161,9 @@ def cmd_sample(args) -> int:
 def cmd_crosscheck(args) -> int:
     from . import numeric
 
-    target = ParamPoint.of(args.l0, args.l1, args.l2)
     grid = numeric.GridSpec("xi", args.grid, cutoff=args.cutoff)
-    report = spectra.bound_spectrum(target)
+    report = spectra.bound_spectrum(ParamPoint.of(args.l0, args.l1, args.l2))
+    target = report.target
     # separation constants from the angular ladder, at most 65 channels;
     # channels stop binding once sqrt(alpha) clears the well depth
     numeric_hits: list[float] = []

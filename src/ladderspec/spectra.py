@@ -89,9 +89,6 @@ def ground_full(l0: RationalLike, l2: RationalLike) -> LabeledState:
 
 def so42_vacuum(l2: RationalLike) -> LabeledState:
     """The l0 = 0 vertex, additionally annihilated by the tilde lowerings."""
-    l2 = rational(l2)
-    if not l2 < Fraction(-5, 2):
-        raise AdmissibilityError(f"so(4,2) vacuum needs l2 < -5/2, got {l2}")
     return ground_full(0, l2)
 
 
@@ -314,15 +311,20 @@ class SpectrumReport:
 def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     """All bound levels of the Hamiltonian at `target`.
 
-    A vertex (l0', 0, l2') reaches the target only with l0' = l0 + k and
-    l2' = l2 + l1 + k for a nonnegative word count k, so candidate level sums
-    l0'+l2' walk upward in steps of two until normalizability (sum < -5/2)
-    fails.  The levels come out in ascending energy with no sort, since
-    E = -(s+3/2)(s+5/2) increases with the sum s wherever s < -2.  Each level's
-    degeneracy is the exact rank over Q of the states its vertex generates
+    The target is solved, and reported, at its branch label
+    (|l0|, |l1|, -|l2|).  A vertex (l0', 0, l2') reaches it only with
+    l0' = l0 + k and l2' = l2 + l1 + k for a nonnegative word count k, so
+    candidate level sums l0'+l2' walk upward in steps of two until
+    normalizability (sum < -5/2) fails.  The levels come out in ascending
+    energy with no sort, since E = -(s+3/2)(s+5/2) increases with the sum s
+    wherever s < -2.  Each level's degeneracy is the exact rank over Q of the states its vertex generates
     at the target, and its witnesses are the sorted words of a basis of
     them, with the normalizations aligned to the witnesses.
     """
+    # H depends on l_i only through l_i^2, and the sign picks the wall branch:
+    # +|l0|, +|l1| is the Friedrichs branch at the theta walls, and -|l2| the
+    # only branch in L^2 as xi -> oo (Reed & Simon II, X.1)
+    target = ParamPoint(abs(target.l0), abs(target.l1), -abs(target.l2))
     levels: list[EnergyLevel] = []
     norms: list[tuple[float, ...]] = []
     for k in itertools.count():
@@ -331,8 +333,6 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
         sigma = v0 + v2
         if not sigma < Fraction(-5, 2):
             break
-        if v0 < -HALF:
-            continue
         vertex = ParamPoint(v0, Fraction(0), v2)
         kept = _witnesses(vertex, target, "su21")
         if not kept:
@@ -343,7 +343,7 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
         norms.append(tuple(normalize(st)[1] for st in sts))
     if not levels:
         raise AdmissibilityError(
-            f"no admissible vertex reaches {target}; Hamiltonian has no "
-            "ladder-generated bound states")
+            f"no admissible vertex reaches {target}: vertices sit at l1 = 0 "
+            "with l0+l2 < -5/2, and raising words change l1 only by integers")
     # sigma grows by 2 per k and E(sigma) increases for sigma < -2: ascending
     return SpectrumReport(target, tuple(levels), tuple(norms))

@@ -131,6 +131,18 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["target"] == ["1/2", "0", "-13/2"]
 
+    def test_positive_l2_solves_the_negative_branch(self, capsys):
+        assert run_cli(capsys, "spectrum", "--l2", "5") == \
+            run_cli(capsys, "spectrum", "--l2=-5")
+
+    def test_non_integer_l1_names_the_lattice_limit(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--l0=0", "--l1=1/2",
+                                 "--l2=-7")
+        assert (code, out) == (2, "")
+        assert err == ("error: no admissible vertex reaches (0, 1/2, -7): "
+                       "vertices sit at l1 = 0 with l0+l2 < -5/2, and raising "
+                       "words change l1 only by integers\n")
+
 
 class TestState:
     def test_degenerate_partner(self, capsys):
@@ -325,6 +337,22 @@ class TestCrosscheck:
         doc = json.loads(out)
         assert [(lv["energy"], lv["numeric_multiplicity"]) for lv in doc["levels"]] \
             == [("-99/4", 1), ("-35/4", 2), ("-3/4", 3)]
+
+    @pytest.mark.parametrize("signed, branch", [
+        (("-1", "0", "-9"), ("1", "0", "-9")),
+        (("-2", "0", "-9"), ("2", "0", "-9")),
+        (("-2", "0", "9"), ("2", "0", "-9")),
+    ])
+    def test_signed_labels_check_the_branch_label(self, capsys, signed, branch):
+        flags = [[f"--l{i}={x}" for i, x in enumerate(lab)] for lab in (signed, branch)]
+        got, want = (run_cli(capsys, "crosscheck", *f) for f in flags)
+        assert got == want
+        code, out, _ = got
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["target"] == list(branch)
+        assert [lv["numeric_multiplicity"] for lv in doc["levels"]] == \
+            [lv["degeneracy"] for lv in doc["levels"]]
 
     @pytest.mark.parametrize("cutoff", ["inf", "nan", "0"])
     def test_cutoff_must_be_finite_and_positive(self, capsys, cutoff):

@@ -7,6 +7,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderspec import (AdmissibilityError, LabeledState, OperatorName,
                         ParamPoint, apply, apply_hamiltonian, apply_word,
@@ -233,6 +235,39 @@ class TestBoundSpectrum:
         rep = bound_spectrum(ParamPoint.of(0, 0, -141))
         assert len(rep.levels) == 70
         assert rep.levels[-1].vertex == ParamPoint.of(69, 0, -72)
+
+
+def separated_levels(l0, l1, l2):
+    """(energy, degeneracy) per level from the separated closed form: level k
+    has depth d = |l2|-2-|l0|-|l1|-2k, bound while d > 1/2, with energy
+    1/4 - d^2 and one state per theta channel n <= k."""
+    levels = []
+    for k in itertools.count():
+        d = abs(l2) - 2 - abs(l0) - abs(l1) - 2 * k
+        if not d > Fraction(1, 2):
+            return levels
+        levels.append((Fraction(1, 4) - d * d, k + 1))
+
+
+@settings(max_examples=100)
+@given(l0=st.integers(0, 8).map(lambda n: Fraction(n, 4)),
+       l1=st.integers(0, 3).map(Fraction),
+       l2=st.integers(-18, -10).map(lambda n: Fraction(n, 2)),
+       signs=st.tuples(*[st.sampled_from((1, -1))] * 3))
+def test_bound_spectrum_solves_the_branch_label(l0, l1, l2, signs):
+    # H sees l_i only through l_i^2; every sign pattern solves (|l0|, |l1|, -|l2|)
+    branch = ParamPoint(l0, l1, l2)
+    signed = ParamPoint(*(s * x for s, x in zip(signs, branch.astuple())))
+    want = separated_levels(l0, l1, l2)
+    if not want:
+        for label in (signed, branch):
+            with pytest.raises(AdmissibilityError):
+                bound_spectrum(label)
+        return
+    rep = bound_spectrum(branch)
+    assert rep.target == branch
+    assert [(lv.energy, lv.degeneracy) for lv in rep.levels] == want
+    assert bound_spectrum(signed).to_dict() == rep.to_dict()
 
 
 # -- exact degeneracy: span-based generation against independent oracles ----

@@ -1,0 +1,82 @@
+"""Print a digest of the reference commands' outputs, one line per command.
+
+Run from the repository root, once against each tree, and diff the two:
+
+    PYTHONPATH=<parent worktree>/src python3 tools/ref_outputs.py > parent.txt
+    PYTHONPATH=src python3 tools/ref_outputs.py | diff parent.txt -
+
+Each command runs in-process through ``ladderspec.cli.main``.  A line holds
+the sha256 of its stdout, the sha256 of its stderr, its exit code and its
+argv.  The commands are the golden cases of ``tests/test_golden.py``, more
+``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures, the
+lattices, a state, a sample, ``crosscheck``, and labels with negative
+entries next to their branch labels.  A refactor that keeps the program's
+behavior prints the same lines.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_golden import CASES  # noqa: E402
+
+from ladderspec.cli import main  # noqa: E402
+
+
+def label(l0: str, l1: str, l2: str) -> list[str]:
+    return [f"--l0={l0}", f"--l1={l1}", f"--l2={l2}"]
+
+
+COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
+    ["verify", "--probes", "2", "--seed", str(seed)] for seed in (123, 999)
+] + [
+    ["spectrum"] + label("0", "0", l2) for l2 in ("-5", "-15", "-17", "-19", "-21")
+] + [
+    ["spectrum"] + label("1", "2", "-12"),
+    ["lattice", "--l0=0", "--l2=-3", "--algebra", "so42", "--depth", "3"],
+    ["lattice", "--l0=0", "--l2=-3", "--algebra", "so42", "--depth", "3",
+     "--format", "dot"],
+    ["lattice", "--l0=2", "--l2=-11", "--algebra", "su21", "--depth", "5"],
+    ["state", "--l0=0", "--l2=-6", "--word", "A+,C+,Ctilde+"],
+    ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
+    ["crosscheck"] + label("0", "0", "-5"),
+    ["crosscheck"] + label("1", "0", "-9"),
+    # labels with negative entries, each followed by its branch label
+    ["spectrum"] + label("0", "0", "5"),
+    ["spectrum"] + label("0", "0", "-5"),
+] + [
+    ["spectrum"] + label(sign + l0, l1, l2)
+    for l0, l1, l2 in (("3/2", "0", "-8"), ("3/4", "0", "-8"),
+                       ("1/4", "0", "-8"), ("1", "0", "-9"))
+    for sign in ("-", "")
+] + [
+    ["spectrum"] + label("0", "-1", "-9"),
+    ["spectrum"] + label("0", "1", "-9"),
+    ["spectrum"] + label("0", "1/2", "-7"),
+    ["spectrum"] + label("0", "0", "-2"),
+    ["crosscheck"] + label("-1", "0", "-9"),
+    ["crosscheck"] + label("-2", "0", "-9"),
+    ["crosscheck"] + label("-2", "0", "9"),
+    ["crosscheck"] + label("2", "0", "-9"),
+]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"{digest(out.getvalue())} {digest(err.getvalue())} {code} {' '.join(argv)}"
+
+
+if __name__ == "__main__":
+    for argv in COMMANDS:
+        print(run(argv), flush=True)
