@@ -19,7 +19,9 @@ exponent splits once into a residue in [0, 2) and an integer offset
 residues as eight ints) -> {int offsets (P, Q, R, S): coefficient}, and its
 operations work on the ints.  A product adds the residues once per pair of
 classes (`_class_sum`, which carries into the offsets) and the offsets per
-pair of terms; sums and differences merge dicts.  Every other linear map is
+pair of terms, on integer numerators over each operand's lcm denominator,
+and a square visits each unordered pair of terms once; sums and
+differences merge dicts.  Every other linear map is
 one pass of the kernel `_linear` over rules (exponent slot or None, factor,
 class and offsets of a multiplier cos^dp sin^dq cosh^dr sinh^ds): a term
 goes to factor times the slot's exponent, if any, times the term times the
@@ -38,7 +40,10 @@ The convergence checks (`_divergence`) and evaluation (`_term_factors`) read
 the classes too.  Evaluation raises `DomainError` for a negative offset on a
 zero base (sin at theta = 0, cos at pi/2, sinh at xi = 0) and writes
 cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term underflows to 0 where
-cosh overflows.  The Fraction view `FunExpr.terms` serves printing and `integral`.
+cosh overflows.  `integral` reads its float rows off the classes too and
+sums them in the order of the Fraction view `FunExpr.terms`, lexicographic
+on (p, q, r, s); it reads `terms` itself only to recombine growth
+(`_lower_growth`).  Otherwise that view serves printing.
 Only `eval_grid` works on float arrays, so it alone imports numpy, in its
 body: the exact algebra loads without it.
 
@@ -197,8 +202,8 @@ def _hyp_table(R: int, S: int) -> tuple[tuple[int, int, int], ...]:
                  for c, U, Rp in _trig_table(S, R))
 
 
-def _expand(acc: dict[Offsets, Fraction], P: int, Q: int, R: int, S: int,
-            c: Fraction) -> None:
+def _expand(acc: dict[Offsets, Fraction | int], P: int, Q: int, R: int, S: int,
+            c: Fraction | int) -> None:
     """Add c X^P Y^Q R^R T^S of one class to `acc` in canonical offsets."""
     hyp = _hyp_table(R, S)
     for ct, P2, Q2 in _trig_table(P, Q):
@@ -228,8 +233,8 @@ class FunExpr:
     def __init__(self, terms: Iterable[Monomial] = ()) -> None:
         """Wrap `terms` as written, without reducing them (`from_terms`
         reduces).  `terms` reads them back unchanged and `classes` holds
-        their sum; arithmetic, `==` and `hash` read `classes`, so they are
-        exact only for terms already in normal form."""
+        their sum; arithmetic, `==`, `hash` and `integral` read `classes`,
+        so they are exact only for terms already in normal form."""
         self._terms: tuple[Monomial, ...] | None = tuple(terms)
         self.classes: Classes = {}
         for m in self._terms:
@@ -313,17 +318,38 @@ class FunExpr:
                 acc[k] = -c if old is None else old - c
         return FunExpr._pruned(out)
 
+    def _numerators(self) -> tuple[list[tuple[ResidueClass, list[tuple[Offsets, int]]]], int]:
+        """The classes as integer numerators over their lcm denominator."""
+        den = math.lcm(*{c.denominator for row in self.classes.values() for c in row.values()})
+        return [(cls, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()])
+                for cls, row in self.classes.items()], den
+
     def __mul__(self, other: "FunExpr") -> "FunExpr":
-        out: Classes = {}
-        for ca, row_a in self.classes.items():
-            for cb, row_b in other.classes.items():
+        """The product on integer numerators, one Fraction per output term.
+
+        A square (`other is self`) visits each unordered pair of terms once:
+        the pair of a term with itself as is, every other pair doubled.
+        """
+        square = other is self
+        rows_a, den_a = self._numerators()
+        rows_b, den_b = (rows_a, den_a) if square else other._numerators()
+        twice = [[(k, 2 * n) for k, n in row] for _, row in rows_b] if square else []
+        out: dict[ResidueClass, dict[Offsets, int]] = {}
+        for i, (ca, row_a) in enumerate(rows_a):
+            for j in range(i if square else 0, len(rows_b)):
+                cb, row_b = rows_b[j]
                 cls, (kP, kQ, kR, kS) = _class_sum(ca, cb)
                 acc = out.setdefault(cls, {})
-                for (Pa, Qa, Ra, Sa), x in row_a.items():
+                for t, ((Pa, Qa, Ra, Sa), x) in enumerate(row_a):
                     Pa, Qa, Ra, Sa = Pa + kP, Qa + kQ, Ra + kR, Sa + kS
-                    for (Pb, Qb, Rb, Sb), y in row_b.items():
+                    pairs = row_b if not square else twice[j] if j > i \
+                        else row_b[t:t + 1] + twice[j][t + 1:]
+                    for (Pb, Qb, Rb, Sb), y in pairs:
                         _expand(acc, Pa + Pb, Qa + Qb, Ra + Rb, Sa + Sb, x * y)
-        return FunExpr._pruned(out)
+        den = den_a * den_b
+        rows = ((cls, {k: Fraction(n, den) for k, n in row.items() if n})
+                for cls, row in out.items())
+        return FunExpr.from_classes({cls: row for cls, row in rows if row})
 
     def scale(self, c: RationalLike) -> "FunExpr":
         c = rational(c)
@@ -569,6 +595,32 @@ def _lower_growth(terms: list[Monomial]) -> list[Monomial]:
         work = rest + new_terms
 
 
+def _beta_rows(f: FunExpr) -> list[tuple[float, float, float, float, float]] | None:
+    """(c, (q+1)/2, (p+1)/2, (s+2)/2, -(r+s+1)/2) per term of `f.classes` as
+    floats in `terms` order, or None when some term has r+s >= -1.
+
+    Each float is an int true division of unreduced numerator and
+    denominator, which is correctly rounded, so it equals float() of the
+    exact Fraction.  p = 2P + n/d with 0 <= n/d < 2, so (P, n/d) per slot
+    orders the exponents as (p, q, r, s) does, exactly.
+    """
+    keyed = []
+    for (pn, pd, qn, qd, rn, rd, sn, sd), row in f.classes.items():
+        fp, fq, fr, fs = (_exponent(pn, pd, 0), _exponent(qn, qd, 0),
+                          _exponent(rn, rd, 0), _exponent(sn, sd, 0))
+        d = rd * sd
+        for (P, Q, R, S), c in row.items():
+            g = rn * sd + sn * rd + (2 * (R + S) + 1) * d  # (r+s+1) * d
+            if g >= 0:
+                return None
+            keyed.append(((P, fp, Q, fq, R, fr, S, fs), c.numerator / c.denominator,
+                          (qn + (2 * Q + 1) * qd) / qd / 2,
+                          (pn + (2 * P + 1) * pd) / pd / 2,
+                          (sn + (2 * S + 2) * sd) / sd / 2, -(g / d) / 2))
+    keyed.sort()  # the keys are distinct, so no float is compared
+    return [row[1:] for row in keyed]
+
+
 def integral(f: FunExpr) -> float:
     """Integral of f over the quadrant against the measure sinh(xi) dtheta dxi.
 
@@ -577,18 +629,27 @@ def integral(f: FunExpr) -> float:
         int cos^p sin^q dtheta       = B((q+1)/2, (p+1)/2) / 2
         int cosh^r sinh^(s+1) dxi    = B((s+2)/2, -(r+s+1)/2) / 2
 
-    via log-Gamma, so each term is accurate to ~1e-15 relative.  Terms whose
-    individual growth would diverge are first recombined exactly; a genuine
-    divergence raises with the offending term or growth profile.
+    via log-Gamma, so each term is accurate to ~1e-15 relative.  The terms
+    are those of `f.classes` (a raw `FunExpr(terms)` integrates its summed
+    classes), and the float sum runs in `terms` order, lexicographic on
+    (p, q, r, s): the terms cancel, so the last bits depend on that order.
+    When some term has r+s >= -1 the terms whose individual growth would
+    diverge are first recombined exactly (`_lower_growth`, on the sorted
+    Monomials); a genuine divergence raises with the offending term or
+    growth profile.
     """
     reason = _divergence(f, 1)
     if reason:
         raise DivergenceError(reason)
+    rows = _beta_rows(f)
+    if rows is None:  # the sorted Monomials of the classes, also for raw terms
+        terms = FunExpr.from_classes(f.classes).terms
+        rows = [(float(m.coeff), float(m.q + 1) / 2, float(m.p + 1) / 2,
+                 float(m.s + 2) / 2, -float(m.r + m.s + 1) / 2)
+                for m in _lower_growth(list(terms))]
     total = 0.0
-    for m in _lower_growth(list(f.terms)):
-        lb = _log_beta(float(m.q + 1) / 2, float(m.p + 1) / 2) \
-            + _log_beta(float(m.s + 2) / 2, -float(m.r + m.s + 1) / 2)
-        total += float(m.coeff) * 0.25 * math.exp(lb)
+    for c, a1, b1, a2, b2 in rows:
+        total += c * 0.25 * math.exp(_log_beta(a1, b1) + _log_beta(a2, b2))
     return total
 
 

@@ -20,11 +20,14 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ladderspec import (DivergenceError, DomainError, FunExpr, d_theta, d_xi,
-                        eval_at, eval_grid, integral, is_normalizable)
+from ladderspec import (DivergenceError, DomainError, FunExpr, ParamPoint,
+                        apply_word, bound_spectrum, d_theta, d_xi, eval_at,
+                        eval_grid, ground_full, integral, is_normalizable,
+                        norm_squared)
 from ladderspec.algebra import Monomial, _log_beta, _lower_growth, rational
 
 
@@ -262,6 +265,8 @@ def test_raw_duplicate_terms_are_summed(a, b):
     assert doubled == a.scale(2) and hash(doubled) == hash(a.scale(2))
     assert_same(doubled + b, oracle_add(doubled, b))
     assert_same(FunExpr(a.terms + (-a).terms) + b, b)
+    (got, err), (want, want_err) = _outcome(integral, doubled), _outcome(integral, a.scale(2))
+    assert got == want and (err is None) == (want_err is None)  # the summed classes
 
 
 # --- reference oracles: the Monomial-level convergence checks --------------
@@ -394,6 +399,49 @@ def test_convergence_checks_match_oracle(terms):
     assert (sym, int(bound)) == WALLS[name]
     m = next(m for m in f.terms if str(m) == named)
     assert str(getattr(m, sym)) == shown and getattr(m, sym) <= int(bound)
+
+
+def _decaying(m):
+    """m off the walls with r lowered by an even integer to r+s < -1, so
+    squares also reach the value of the integral."""
+    m = _off_the_walls(m)
+    k = max(0, math.floor((m.r + m.s + 1) / 2) + 1)
+    return Monomial(m.coeff, m.p, m.q, m.r - 2 * k, m.s)
+
+
+def _oracle_norm_squared(f):
+    return oracle_integral(oracle_mul(f, f))
+
+
+@given(st.one_of(exprs, st.lists(monomials().map(_decaying), min_size=1,
+                                 max_size=4).map(FunExpr.from_terms)))
+def test_square_and_norm_match_oracle(f):
+    """`f * f` visits each unordered pair of terms once, and `integral` sums
+    its rows in `terms` order: both agree with the oracles bit for bit, or
+    both raise on the same kind of divergence (a wall or large-xi growth)."""
+    assert_same(f * f, oracle_mul(f, f))
+    value, message = _outcome(norm_squared, f)
+    want_value, want_message = _outcome(_oracle_norm_squared, f)
+    assert (message is None) == (want_message is None)
+    if message is None:
+        assert value.hex() == want_value.hex()
+    else:
+        growth = "large-xi growth"
+        assert message.startswith(growth) == want_message.startswith(growth)
+
+
+@pytest.mark.parametrize("target", [(0, 0, -15), (1, 2, -12)])
+def test_witness_norms_match_monomial_order_sum(target):
+    """The squares of deep witness states cancel the most, so a sum in any
+    other order than `terms` shows in the last bits of their norms."""
+    report = bound_spectrum(ParamPoint.of(*target))
+    for level, consts in zip(report.levels, report.normalizations):
+        vertex = ground_full(level.vertex.l0, level.vertex.l2)
+        for word, const in zip(level.witnesses, consts):
+            f = apply_word(word, vertex).expr
+            want = _oracle_norm_squared(f)
+            assert norm_squared(f).hex() == want.hex()
+            assert const == 1.0 / math.sqrt(want)
 
 
 # --- reference oracles: the Monomial-level evaluation ----------------------

@@ -8,10 +8,11 @@ Run from the repository root, once against each tree, and diff the two:
 Each command runs in-process through ``ladderspec.cli.main``.  A line holds
 the sha256 of its stdout, the sha256 of its stderr, its exit code and its
 argv.  The commands are the golden cases of ``tests/test_golden.py``, more
-``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures, the
-lattices, a state, a sample, ``crosscheck``, and labels with negative
-entries next to their branch labels.  A refactor that keeps the program's
-behavior prints the same lines.
+``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures and at the
+spectrum-sweep anchor (2, 2, -12), the lattices, two states (one deep
+enough to print a normalization), a sample, ``crosscheck``, and labels
+with negative entries next to their branch labels.  A refactor that keeps
+the program's behavior prints the same lines.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     ["spectrum"] + label("0", "0", l2) for l2 in ("-5", "-15", "-17", "-19", "-21")
 ] + [
     ["spectrum"] + label("1", "2", "-12"),
+    ["spectrum"] + label("2", "2", "-12"),
     ["lattice", "--l0=0", "--l2=-3", "--algebra", "so42", "--depth", "3"],
     ["lattice", "--l0=0", "--l2=-3", "--algebra", "so42", "--depth", "3",
      "--format", "dot"],
     ["lattice", "--l0=2", "--l2=-11", "--algebra", "su21", "--depth", "5"],
     ["state", "--l0=0", "--l2=-6", "--word", "A+,C+,Ctilde+"],
+    # a deep state whose normalization field is printed
+    ["state", "--l0=0", "--l2=-15", "--word", "C+,C+,C+,C+"],
     ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
     ["crosscheck"] + label("0", "0", "-5"),
     ["crosscheck"] + label("1", "0", "-9"),
