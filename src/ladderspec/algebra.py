@@ -36,14 +36,17 @@ factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
 in closed form, with integer coefficients.  This makes structural equality
 of normalized expressions coincide with equality of functions.  That is what
 allows operator identities to be verified as literally empty residuals.
-The convergence checks (`_divergence`) and evaluation (`_term_factors`) read
-the classes too.  Evaluation raises `DomainError` for a negative offset on a
-zero base (sin at theta = 0, cos at pi/2, sinh at xi = 0) and writes
-cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term underflows to 0 where
-cosh overflows.  `integral` reads its float rows off the classes too and
-sums them in the order of the Fraction view `FunExpr.terms`, lexicographic
-on (p, q, r, s); it reads `terms` itself only to recombine growth
-(`_lower_growth`).  Otherwise that view serves printing.
+The term order is stated once, in `_class_terms`: (class, offsets,
+coefficient) triples, lexicographic on (p, q, r, s).  The Fraction view
+`FunExpr.terms` is built from it and serves printing and input; the engine
+reads only `classes`.  The convergence checks (`_divergence`) and
+evaluation (`_term_factors`) read the classes too, and name the first
+offending term in that order.  Evaluation raises `DomainError` for a
+negative offset on a zero base (sin at theta = 0, cos at pi/2, sinh at
+xi = 0) and writes cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term
+underflows to 0 where cosh overflows.  `integral` has one row path: the
+class terms in that order, recombined where they grow (`_lower_growth`, on
+the same triples), summed as floats.
 Only `eval_grid` works on float arrays, so it alone imports numpy, in its
 body: the exact algebra loads without it.
 
@@ -66,6 +69,7 @@ RationalLike = Union[Fraction, int, str]
 ResidueClass = tuple[int, int, int, int, int, int, int, int]
 Offsets = tuple[int, int, int, int]
 Classes = dict[ResidueClass, dict[Offsets, Fraction]]
+Term = tuple[ResidueClass, Offsets, Fraction]
 
 
 class DivergenceError(ValueError):
@@ -130,8 +134,9 @@ def _split(e: Fraction) -> tuple[int, int, int]:
     return n - 2 * d * k, d, k
 
 
-def _split_monomial(m: Monomial) -> tuple[ResidueClass, Offsets]:
-    (pn, pd, P), (qn, qd, Q), (rn, rd, R), (sn, sd, S) = map(_split, m.key)
+def _split_key(key: Iterable[Fraction]) -> tuple[ResidueClass, Offsets]:
+    """The residue class and offsets of the exponents (p, q, r, s)."""
+    (pn, pd, P), (qn, qd, Q), (rn, rd, R), (sn, sd, S) = map(_split, key)
     return (pn, pd, qn, qd, rn, rd, sn, sd), (P, Q, R, S)
 
 
@@ -147,6 +152,26 @@ def _monomial(cls: ResidueClass, offs: Offsets, c: Fraction) -> Monomial:
     P, Q, R, S = offs
     return Monomial(c, _exponent(pn, pd, P), _exponent(qn, qd, Q),
                     _exponent(rn, rd, R), _exponent(sn, sd, S))
+
+
+def _class_terms(classes: Classes) -> list[Term]:
+    """The terms (class, offsets, coefficient) of `classes` in the one term
+    order, lexicographic on the exponents (p, q, r, s).
+
+    p = 2P + n/d with 0 <= n/d < 2, so (P, n/d) per slot orders the
+    exponents as (p, q, r, s) does, exactly.  The keys are distinct, so the
+    sort compares no offsets tuple and no coefficient.
+    """
+    keyed = []
+    for cls, row in classes.items():
+        pn, pd, qn, qd, rn, rd, sn, sd = cls
+        fp, fq, fr, fs = (_exponent(pn, pd, 0), _exponent(qn, qd, 0),
+                          _exponent(rn, rd, 0), _exponent(sn, sd, 0))
+        for offs, c in row.items():
+            P, Q, R, S = offs
+            keyed.append(((P, fp, Q, fq, R, fr, S, fs), cls, offs, c))
+    keyed.sort()
+    return [t[1:] for t in keyed]
 
 
 @lru_cache(maxsize=None)
@@ -223,9 +248,9 @@ class FunExpr:
     coefficients only.  Within a class the canonical terms are X^P or Y^-k
     (k >= 1) times T^S or R^-k (k >= 1), with X = cos^2, Y = sin^2,
     T = sinh^2, R = cosh^2 and integer offsets P, S.  Equal functions have
-    equal `classes`.  `terms` is the same sum as Monomials sorted
-    lexicographically on (p, q, r, s), built on first use.  Instances are
-    immutable by convention.
+    equal `classes`.  `terms` is the same sum as Monomials in the one term
+    order of `_class_terms`, lexicographic on (p, q, r, s), built on first
+    use; only printing reads it.  Instances are immutable by convention.
     """
 
     __slots__ = ("classes", "_terms")
@@ -238,7 +263,7 @@ class FunExpr:
         self._terms: tuple[Monomial, ...] | None = tuple(terms)
         self.classes: Classes = {}
         for m in self._terms:
-            cls, offs = _split_monomial(m)
+            cls, offs = _split_key(m.key)
             row = self.classes.setdefault(cls, {})
             row[offs] = row.get(offs, 0) + m.coeff
 
@@ -260,7 +285,7 @@ class FunExpr:
         acc: Classes = {}
         for m in terms:
             if m.coeff:
-                cls, (P, Q, R, S) = _split_monomial(m)
+                cls, (P, Q, R, S) = _split_key(m.key)
                 _expand(acc.setdefault(cls, {}), P, Q, R, S, m.coeff)
         return FunExpr._pruned(acc)
 
@@ -271,9 +296,7 @@ class FunExpr:
     @property
     def terms(self) -> tuple[Monomial, ...]:
         if self._terms is None:
-            out = [_monomial(cls, offs, c) for cls, row in self.classes.items()
-                   for offs, c in row.items()]
-            self._terms = tuple(sorted(out, key=lambda m: m.key))
+            self._terms = tuple(_monomial(*t) for t in _class_terms(self.classes))
         return self._terms
 
     @property
@@ -371,7 +394,7 @@ class FunExpr:
 @lru_cache(maxsize=None)
 def _multiplier(shift: tuple[RationalLike, ...]) -> tuple[ResidueClass, Offsets]:
     """Class and offsets of cos^dp sin^dq cosh^dr sinh^ds, shift = (dp, dq, dr, ds)."""
-    return _split_monomial(Monomial(Fraction(1), *map(rational, shift)))
+    return _split_key(map(rational, shift))
 
 
 def _rules(raw: Iterable[tuple], factor: RationalLike = 1,
@@ -440,12 +463,11 @@ def _term_factors(f: FunExpr, ct, st, th, lc, zero: tuple, exp: Callable):
     and lc = log cosh, all floats or all arrays; a negative offset on a wall
     whose base is 0 somewhere (`zero`) raises.  cosh^(r+s) = exp((r+s) lc)."""
     for hit, (i, name, sym, _) in zip(zero, _WALLS):
-        for cls, row in f.classes.items() if hit else ():
-            for offs, c in row.items():
-                if offs[i] < 0:
-                    m = _monomial(cls, offs, c)
-                    raise DomainError(f"negative exponent {sym}={m.key[i]} "
-                                      f"where {name} is 0, in term {m}")
+        for cls, offs, c in _class_terms(f.classes) if hit else ():
+            if offs[i] < 0:
+                m = _monomial(cls, offs, c)
+                raise DomainError(f"negative exponent {sym}={m.key[i]} "
+                                  f"where {name} is 0, in term {m}")
     for cls, row in f.classes.items():
         pn, pd, qn, qd, rn, rd, sn, sd = cls
         trig, hyp, rs = ct ** (pn / pd) * st ** (qn / qd), th ** (sn / sd), rn / rd + sn / sd
@@ -532,16 +554,11 @@ def _growth_profiles(f: FunExpr, k: int) -> dict[Fraction, Classes]:
     return slots
 
 
-def _divergence(f: FunExpr, k: int) -> str | None:
-    """Why int f^k sinh(xi) dtheta dxi over the quadrant diverges, or None.
-
-    Wall exponents are intrinsic data of the normal form, so a per-term
-    test decides convergence at theta = 0, pi/2 and xi = 0: each exponent
-    n/d + 2K must exceed bound/k.  The large-xi growth is decided on the
-    exact slot profiles, which is immune to cancelling growth between terms
-    of the normal form.
-    """
-    for cls, row in f.classes.items():
+def _wall(rows: Iterable[tuple[ResidueClass, dict[Offsets, Fraction]]], k: int) -> str | None:
+    """Why int f^k diverges at a wall (`_WALLS`), naming the first term of
+    `rows` (class, {offsets: coefficient}) whose exponent there is at most
+    bound/k, or None."""
+    for cls, row in rows:
         for offs, c in row.items():
             for i, name, sym, bound in _WALLS:
                 d = cls[2 * i + 1]
@@ -549,6 +566,22 @@ def _divergence(f: FunExpr, k: int) -> str | None:
                     m = _monomial(cls, offs, c)
                     return (f"{name} exponent {sym}={m.key[i]} <= "
                             f"{Fraction(bound, k)} in term {m}")
+    return None
+
+
+def _divergence(f: FunExpr, k: int) -> str | None:
+    """Why int f^k sinh(xi) dtheta dxi over the quadrant diverges, or None.
+
+    Wall exponents are intrinsic data of the normal form, so a per-term
+    test decides convergence at theta = 0, pi/2 and xi = 0: each exponent
+    n/d + 2K must exceed bound/k.  The large-xi growth is decided on the
+    exact slot profiles, which is immune to cancelling growth between terms
+    of the normal form.  A wall message names the first offending term in
+    the term order, so equal functions give equal messages; the classes are
+    sorted only after a hit, since `is_normalizable` checks every walk image.
+    """
+    if _wall(f.classes.items(), k):
+        return _wall(((cls, {offs: c}) for cls, offs, c in _class_terms(f.classes)), k)
     slots = _growth_profiles(f, k)
     for gamma in sorted(slots, reverse=True):
         profile = FunExpr._pruned(slots[gamma])
@@ -557,7 +590,7 @@ def _divergence(f: FunExpr, k: int) -> str | None:
     return None
 
 
-def _lower_growth(terms: list[Monomial]) -> list[Monomial]:
+def _lower_growth(terms: list[Term]) -> list[Term]:
     """Rewrite so every term satisfies r+s < -1, exactly.
 
     The normal form may carry monomials of matching growth whose theta
@@ -565,60 +598,38 @@ def _lower_growth(terms: list[Monomial]) -> list[Monomial]:
     identity cosh^2k - sinh^2k = sum_m cosh^2m sinh^(2k-2-2m), which lowers
     r+s by two per pass.  Only packs inside one exponent class mod 2 can be
     recombined; anything else that still grows is a genuine obstruction.
+    The test r+s >= -1 runs on ints, (r+s+1) rd sd >= 0, so the Fraction
+    growths are formed only when some term grows.  The packs are keyed by
+    the r and s residues and anchored at their largest R; their new terms
+    follow the untouched ones.
     """
-    work = list(terms)
-    while True:
-        gmax = max((m.r + m.s for m in work), default=Fraction(-2))
-        if gmax < -1:
-            return work
-        top = [m for m in work if m.r + m.s == gmax]
-        rest = [m for m in work if m.r + m.s != gmax]
-        packs: dict[tuple, list[Monomial]] = {}
-        for m in top:
-            packs.setdefault((_split(m.r)[:2], _split(m.s)[:2]), []).append(m)
-        new_terms: list[Monomial] = []
+    work = terms
+    while any(rn * sd + sn * rd + (2 * (R + S) + 1) * rd * sd >= 0
+              for (_, _, _, _, rn, rd, sn, sd), (_, _, R, S), _ in work):
+        growth = [_exponent(rn, rd, R) + _exponent(sn, sd, S)
+                  for (_, _, _, _, rn, rd, sn, sd), (_, _, R, S), _ in work]
+        gmax = max(growth)
+        packs: dict[tuple[int, ...], list[Term]] = {}
+        for t, g in zip(work, growth):
+            if g == gmax:
+                packs.setdefault(t[0][4:], []).append(t)
+        new_terms: list[Term] = []
         for pack in packs.values():
-            profile = FunExpr.from_terms(
-                Monomial(m.coeff, m.p, m.q, Fraction(0), Fraction(0)) for m in pack)
+            acc: Classes = {}
+            for cls, (P, Q, _, _), c in pack:
+                _expand(acc.setdefault(cls[:4] + (0, 1, 0, 1), {}), P, Q, 0, 0, c)
+            profile = FunExpr._pruned(acc)
             if not profile.is_zero:
                 raise DivergenceError(
                     f"large-xi growth exponent {gmax} with profile {profile}")
-            anchor = max(pack, key=lambda m: m.r)
-            for m in pack:
-                k = (anchor.r - m.r) / 2
-                assert k.denominator == 1 and k >= 0
-                # k = 0 terms (anchor included) are fully absorbed by the
-                # cancelling profile
-                for j in range(int(k)):
-                    new_terms.append(Monomial(-m.coeff, m.p, m.q,
-                                              m.r + 2 * j, anchor.s + 2 * (int(k) - 1 - j)))
-        work = rest + new_terms
-
-
-def _beta_rows(f: FunExpr) -> list[tuple[float, float, float, float, float]] | None:
-    """(c, (q+1)/2, (p+1)/2, (s+2)/2, -(r+s+1)/2) per term of `f.classes` as
-    floats in `terms` order, or None when some term has r+s >= -1.
-
-    Each float is an int true division of unreduced numerator and
-    denominator, which is correctly rounded, so it equals float() of the
-    exact Fraction.  p = 2P + n/d with 0 <= n/d < 2, so (P, n/d) per slot
-    orders the exponents as (p, q, r, s) does, exactly.
-    """
-    keyed = []
-    for (pn, pd, qn, qd, rn, rd, sn, sd), row in f.classes.items():
-        fp, fq, fr, fs = (_exponent(pn, pd, 0), _exponent(qn, qd, 0),
-                          _exponent(rn, rd, 0), _exponent(sn, sd, 0))
-        d = rd * sd
-        for (P, Q, R, S), c in row.items():
-            g = rn * sd + sn * rd + (2 * (R + S) + 1) * d  # (r+s+1) * d
-            if g >= 0:
-                return None
-            keyed.append(((P, fp, Q, fq, R, fr, S, fs), c.numerator / c.denominator,
-                          (qn + (2 * Q + 1) * qd) / qd / 2,
-                          (pn + (2 * P + 1) * pd) / pd / 2,
-                          (sn + (2 * S + 2) * sd) / sd / 2, -(g / d) / 2))
-    keyed.sort()  # the keys are distinct, so no float is compared
-    return [row[1:] for row in keyed]
+            aR, aS = max(pack, key=lambda t: t[1][2])[1][2:]
+            for cls, (P, Q, R, _), c in pack:
+                # k = aR - R; k = 0 terms (anchor included) are fully
+                # absorbed by the cancelling profile
+                new_terms += [(cls, (P, Q, R + j, aS + aR - R - 1 - j), -c)
+                              for j in range(aR - R)]
+        work = [t for t, g in zip(work, growth) if g != gmax] + new_terms
+    return work
 
 
 def integral(f: FunExpr) -> float:
@@ -631,25 +642,26 @@ def integral(f: FunExpr) -> float:
 
     via log-Gamma, so each term is accurate to ~1e-15 relative.  The terms
     are those of `f.classes` (a raw `FunExpr(terms)` integrates its summed
-    classes), and the float sum runs in `terms` order, lexicographic on
+    classes), in the one term order of `_class_terms`, lexicographic on
     (p, q, r, s): the terms cancel, so the last bits depend on that order.
     When some term has r+s >= -1 the terms whose individual growth would
-    diverge are first recombined exactly (`_lower_growth`, on the sorted
-    Monomials); a genuine divergence raises with the offending term or
-    growth profile.
+    diverge are first recombined exactly (`_lower_growth`); a genuine
+    divergence raises with the first offending term or the growth profile.
+    Each Beta argument is an int true division of unreduced numerator and
+    denominator, which is correctly rounded, so it equals float() of the
+    exact Fraction.
     """
     reason = _divergence(f, 1)
     if reason:
         raise DivergenceError(reason)
-    rows = _beta_rows(f)
-    if rows is None:  # the sorted Monomials of the classes, also for raw terms
-        terms = FunExpr.from_classes(f.classes).terms
-        rows = [(float(m.coeff), float(m.q + 1) / 2, float(m.p + 1) / 2,
-                 float(m.s + 2) / 2, -float(m.r + m.s + 1) / 2)
-                for m in _lower_growth(list(terms))]
     total = 0.0
-    for c, a1, b1, a2, b2 in rows:
-        total += c * 0.25 * math.exp(_log_beta(a1, b1) + _log_beta(a2, b2))
+    for (pn, pd, qn, qd, rn, rd, sn, sd), (P, Q, R, S), c in \
+            _lower_growth(_class_terms(f.classes)):
+        d = rd * sd
+        total += c.numerator / c.denominator * 0.25 * math.exp(
+            _log_beta((qn + (2 * Q + 1) * qd) / qd / 2, (pn + (2 * P + 1) * pd) / pd / 2)
+            + _log_beta((sn + (2 * S + 2) * sd) / sd / 2,
+                        -((rn * sd + sn * rd + (2 * (R + S) + 1) * d) / d) / 2))
     return total
 
 

@@ -27,6 +27,7 @@ from .spectra import AdmissibilityError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+CROSSCHECK_TOL = 1e-3  # largest |numeric - exact| energy that `crosscheck` passes
 
 
 def _emit(text: str | Iterable[str], out_path: str | None) -> None:
@@ -192,10 +193,10 @@ def cmd_crosscheck(args) -> int:
                  "scheme": "uniform"},
         "levels": rows,
         "max_abs_diff": worst if worst < math.inf else None,
-        "tolerance": 1e-3,
+        "tolerance": CROSSCHECK_TOL,
     }
     _emit(json.dumps(doc, indent=2), args.out)
-    return EXIT_OK if worst <= 1e-3 else EXIT_FAIL
+    return EXIT_OK if worst <= CROSSCHECK_TOL else EXIT_FAIL
 
 
 def _add_label_flags(p: argparse.ArgumentParser, l1: bool = True) -> None:

@@ -26,13 +26,12 @@ from typing import TYPE_CHECKING
 from .algebra import (FunExpr, RationalLike, inner, is_normalizable, monomial,
                       norm_squared, rational)
 # apply stays importable from here for tools that rebind the operator layer
-from .operators import (SHIFTS, LabeledState, OperatorName as O, ParamPoint,
-                        apply, apply_word)
+from .operators import (HALF, SHIFTS, LabeledState, OperatorName as O,
+                        ParamPoint, apply, apply_word)
 
 if TYPE_CHECKING:
     import numpy as np
 
-HALF = Fraction(1, 2)
 GRAM_REL_TOL = 1e-9  # gram_rank counts singular values above this times the largest
 
 
@@ -74,15 +73,17 @@ def ground_beta(l1: RationalLike, l2: RationalLike) -> FunExpr:
 def ground_full(l0: RationalLike, l2: RationalLike) -> LabeledState:
     """Joint vacuum cos^(l0+1/2) sin^(1/2) cosh^(l2+1/2) sinh^(l0+1) at (l0, 0, l2).
 
-    Annihilated by all three lowering operators; normalizable under the
-    invariant measure iff l0 >= -1/2 and l0 + l2 < -5/2.
+    Annihilated by all three lowering operators, with energy
+    E = -(l0+l2+3/2)(l0+l2+5/2).  Needs l0 >= -1/2 and l0 + l2 < -5/2; the
+    latter cut keeps E < 0, while the state is normalizable under the
+    invariant measure already for l0 + l2 < -2.
     """
     l0, l2 = rational(l0), rational(l2)
     if l0 < -HALF:
         raise AdmissibilityError(f"vertex needs l0 >= -1/2, got {l0}")
     if not l0 + l2 < Fraction(-5, 2):
         raise AdmissibilityError(
-            f"vertex needs l0+l2 < -5/2 for a normalizable state, got {l0 + l2}")
+            f"vertex needs l0+l2 < -5/2 for energy E < 0, got {l0 + l2}")
     expr = monomial(1, l0 + HALF, HALF, l2 + HALF, l0 + 1)
     return LabeledState(ParamPoint(l0, Fraction(0), l2), expr)
 
@@ -314,8 +315,8 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     The target is solved, and reported, at its branch label
     (|l0|, |l1|, -|l2|).  A vertex (l0', 0, l2') reaches it only with
     l0' = l0 + k and l2' = l2 + l1 + k for a nonnegative word count k, so
-    candidate level sums l0'+l2' walk upward in steps of two until
-    normalizability (sum < -5/2) fails.  The levels come out in ascending
+    candidate level sums l0'+l2' walk upward in steps of two while the
+    energy stays negative (sum < -5/2).  The levels come out in ascending
     energy with no sort, since E = -(s+3/2)(s+5/2) increases with the sum s
     wherever s < -2.  Each level's degeneracy is the exact rank over Q of the states its vertex generates
     at the target, and its witnesses are the sorted words of a basis of

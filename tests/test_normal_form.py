@@ -9,13 +9,13 @@ The arithmetic and the derivatives work on residue classes and integer
 offsets.  Their oracles are the earlier Monomial-level versions, which
 rebuild Fraction exponents term by term and normalize with `from_terms`.
 So is the oracle of the convergence checks `is_normalizable` and `integral`
-run, which reads the walls and the large-xi growth slots off `terms`, and
-the oracle of `eval_at` and `eval_grid`, which takes the Fraction powers of
+run, which reads the walls and the large-xi growth slots off `terms` and
+recombines growth with its own Monomial copy of `_lower_growth`, and the
+oracle of `eval_at` and `eval_grid`, which takes the Fraction powers of
 `terms` one by one.
 """
 
 import math
-import re
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,7 @@ from ladderspec import (DivergenceError, DomainError, FunExpr, ParamPoint,
                         apply_word, bound_spectrum, d_theta, d_xi, eval_at,
                         eval_grid, ground_full, integral, is_normalizable,
                         norm_squared)
-from ladderspec.algebra import Monomial, _log_beta, _lower_growth, rational
+from ladderspec.algebra import Monomial, _log_beta, rational
 
 
 # --- reference oracle: the stepwise reducer -------------------------------
@@ -119,7 +119,7 @@ small_exprs = st.lists(monomials(budget=4), min_size=1,
 @example([Monomial(Fraction(-1, 2), Fraction(-2), Fraction(-3, 2),
                    Fraction(-17, 3), Fraction(-15))])  # deep hyp mixed pole
 def test_matches_stepwise_oracle(terms):
-    assert FunExpr.from_terms(terms) == reference_from_terms(terms)
+    assert_same(FunExpr.from_terms(terms), reference_from_terms(terms))
 
 
 @given(term_lists)
@@ -266,7 +266,7 @@ def test_raw_duplicate_terms_are_summed(a, b):
     assert_same(doubled + b, oracle_add(doubled, b))
     assert_same(FunExpr(a.terms + (-a).terms) + b, b)
     (got, err), (want, want_err) = _outcome(integral, doubled), _outcome(integral, a.scale(2))
-    assert got == want and (err is None) == (want_err is None)  # the summed classes
+    assert got == want and err == want_err  # the summed classes, one term order
 
 
 # --- reference oracles: the Monomial-level convergence checks --------------
@@ -323,6 +323,44 @@ def oracle_is_normalizable(f):
                for g in oracle_growth_slots(f, Fraction(-1, 2)))
 
 
+def oracle_lower_growth(terms):
+    """Rewrite so every term satisfies r+s < -1, exactly (the Monomial version).
+
+    The normal form may carry monomials of matching growth whose theta
+    profiles cancel; such a pack is recombined through the telescoping
+    identity cosh^2k - sinh^2k = sum_m cosh^2m sinh^(2k-2-2m), which lowers
+    r+s by two per pass.  Only packs inside one exponent class mod 2 can be
+    recombined; anything else that still grows is a genuine obstruction.
+    """
+    work = list(terms)
+    while True:
+        gmax = max((m.r + m.s for m in work), default=Fraction(-2))
+        if gmax < -1:
+            return work
+        top = [m for m in work if m.r + m.s == gmax]
+        rest = [m for m in work if m.r + m.s != gmax]
+        packs: dict[tuple, list[Monomial]] = {}
+        for m in top:
+            packs.setdefault((_residue(m.r), _residue(m.s)), []).append(m)
+        new_terms: list[Monomial] = []
+        for pack in packs.values():
+            profile = FunExpr.from_terms(
+                Monomial(m.coeff, m.p, m.q, Fraction(0), Fraction(0)) for m in pack)
+            if not profile.is_zero:
+                raise DivergenceError(
+                    f"large-xi growth exponent {gmax} with profile {profile}")
+            anchor = max(pack, key=lambda m: m.r)
+            for m in pack:
+                k = (anchor.r - m.r) / 2
+                assert k.denominator == 1 and k >= 0
+                # k = 0 terms (anchor included) are fully absorbed by the
+                # cancelling profile
+                for j in range(int(k)):
+                    new_terms.append(Monomial(-m.coeff, m.p, m.q,
+                                              m.r + 2 * j, anchor.s + 2 * (int(k) - 1 - j)))
+        work = rest + new_terms
+
+
 def oracle_integral(f):
     terms = list(f.terms)
     for m in terms:
@@ -333,7 +371,7 @@ def oracle_integral(f):
             if not prof.is_zero:
                 raise DivergenceError(
                     f"large-xi growth exponent {g} with profile {prof}")
-        terms = _lower_growth(terms)
+        terms = oracle_lower_growth(terms)
     total = 0.0
     for m in terms:
         lb = _log_beta(float(m.q + 1) / 2, float(m.p + 1) / 2) \
@@ -363,11 +401,6 @@ def _terms(*rows):
     return [Monomial(*map(Fraction, row)) for row in rows]
 
 
-WALL_MESSAGE = re.compile(
-    r"^(sin|cos|sinh) exponent ([pqs])=(\S+) <= (-1|-2) in term (.+)$")
-WALLS = {"sin": ("q", -1), "cos": ("p", -1), "sinh": ("s", -2)}
-
-
 @given(st.one_of(term_lists, st.lists(monomials().map(_off_the_walls), max_size=4)))
 # the strict xfail of test_algebra: growth that cancels across classes
 @example(_terms((1, 0, 0, "-3/4", "1/4"), (-1, 0, 0, -1, "1/2")))
@@ -385,20 +418,8 @@ def test_convergence_checks_match_oracle(terms):
     assert is_normalizable(f) == oracle_is_normalizable(f)
     value, message = _outcome(integral, f)
     want_value, want_message = _outcome(oracle_integral, f)
-    assert (message is None) == (want_message is None)
-    if message is None:
-        assert value == want_value
-        return
-    growth = "large-xi growth"
-    assert message.startswith(growth) == want_message.startswith(growth)
-    if message.startswith(growth):
-        assert message == want_message
-        return
-    # with several offending terms the named one may differ from the oracle's
-    name, sym, shown, bound, named = WALL_MESSAGE.match(message).groups()
-    assert (sym, int(bound)) == WALLS[name]
-    m = next(m for m in f.terms if str(m) == named)
-    assert str(getattr(m, sym)) == shown and getattr(m, sym) <= int(bound)
+    assert message == want_message  # the first offender in `terms` order
+    assert value == want_value
 
 
 def _decaying(m):

@@ -9,9 +9,10 @@ Each command runs in-process through ``ladderspec.cli.main``.  A line holds
 the sha256 of its stdout, the sha256 of its stderr, its exit code and its
 argv.  The commands are the golden cases of ``tests/test_golden.py``, more
 ``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures and at the
-spectrum-sweep anchor (2, 2, -12), the lattices, two states (one deep
-enough to print a normalization), a sample, ``crosscheck``, and labels
-with negative entries next to their branch labels.  A refactor that keeps
+spectrum-sweep anchor (2, 2, -12), the lattices, three states (one deep
+enough to print a normalization, one at a vertex that the E < 0 cut
+rejects), a sample, ``crosscheck``, and labels with negative entries next
+to their branch labels.  A refactor that keeps
 the program's behavior prints the same lines.
 """
 
@@ -47,6 +48,8 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     ["state", "--l0=0", "--l2=-6", "--word", "A+,C+,Ctilde+"],
     # a deep state whose normalization field is printed
     ["state", "--l0=0", "--l2=-15", "--word", "C+,C+,C+,C+"],
+    # a normalizable vertex with E = 3/16 >= 0, which the E < 0 cut rejects
+    ["state", "--l0=0", "--l2=-9/4"],
     ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
     ["crosscheck"] + label("0", "0", "-5"),
     ["crosscheck"] + label("1", "0", "-9"),
