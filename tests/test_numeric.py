@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sps
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ladderspec import (EigenResult, GridSpec, ParameterError, ground_full,
                         residual_on_grid, solve_theta, solve_xi)
 from ladderspec import numeric
-from ladderspec.numeric import _CORRECTED_ROWS, _assemble, _solve
+from ladderspec.numeric import _CORRECTED_ROWS, _assemble, _count_below, _solve
 
 
 class TestGridSpec:
@@ -125,7 +127,7 @@ def expand_band(B: np.ndarray) -> sps.csc_matrix:
 
 
 def theta_case(n: int, l0: float = 0.5, l1: float = 1.5):
-    """Potential, grid and _solve arguments as solve_theta builds them."""
+    """Potential, grid, wall exponents and shift as solve_theta builds them."""
     grid = GridSpec("theta", n)
     x = grid.nodes()
     V = (l1 ** 2 - 0.25) / np.sin(x) ** 2 + (l0 ** 2 - 0.25) / np.cos(x) ** 2
@@ -133,7 +135,7 @@ def theta_case(n: int, l0: float = 0.5, l1: float = 1.5):
 
 
 def xi_case(n: int, l2: float = -5.0, alpha: float = 1.0):
-    """Potential, grid and _solve arguments as solve_xi builds them."""
+    """Potential, grid, wall exponents and shift as solve_xi builds them."""
     grid = GridSpec("xi", n, cutoff=25.0)
     x = grid.nodes()
     V = (alpha - 0.25) / np.sinh(x) ** 2 - (l2 ** 2 - 0.25) / np.cosh(x) ** 2 + 0.25
@@ -149,7 +151,7 @@ class TestSolveAgainstDense:
         # return; at xi, n = 64 the nearest two are a complex pair
         V, grid, nu_left, nu_right, sigma = case(n)
         nev = 4
-        vals, vecs, res = _solve(V, grid, nu_left, nu_right, nev, sigma)
+        vals, vecs, res = _solve(*_assemble(V, grid.h, nu_left, nu_right), nev, sigma)
         A, M = reference_assemble(V, grid.h, nu_left, nu_right)
         dense = scipy.linalg.eigvals(A.toarray(), M.toarray())
         nearest = dense[np.argsort(np.abs(dense - sigma))[:nev]]
@@ -160,13 +162,47 @@ class TestSolveAgainstDense:
             want = np.linalg.norm(A @ v - e * (M @ v)) / np.linalg.norm(v)
             assert r == pytest.approx(want, rel=1e-6, abs=1e-12)
 
-    def test_singular_shifted_pencil_raises(self, monkeypatch):
+    def test_singular_shifted_pencil_raises(self):
         V, grid, nu_left, nu_right, _ = xi_case(64)
         _, M = _assemble(V, grid.h, nu_left, nu_right)
         # A = M makes A - 1 M exactly zero
-        monkeypatch.setattr(numeric, "_assemble", lambda *args: (M, M))
         with pytest.raises(ParameterError, match="shift 1.0"):
-            _solve(V, grid, nu_left, nu_right, 4, 1.0)
+            _solve(M, M, 4, 1.0)
+
+
+quarters = st.integers(-40, 40).map(lambda k: k / 4)
+
+
+class TestCountBelow:
+    # main diagonal (1, 1, 2), off-diagonal 1 and E = 0 give the pivots
+    # 1, then exactly 0, then 2 - 1/0: the zero pivot must not raise
+    @settings(max_examples=300)
+    @given(main=st.lists(quarters, min_size=1, max_size=12),
+           off=st.lists(quarters, min_size=11, max_size=11), E=quarters)
+    @example(main=[1.0, 1.0, 2.0], off=[1.0] * 11, E=0.0)
+    def test_matches_dense_symmetric_pencil(self, main, off, E):
+        n = len(main)
+        e = np.array(off[:n - 1])
+        A = np.array([np.r_[0.0, e], main, np.r_[e, 0.0]])
+        M = np.array([np.full(n, 1 / 12), np.full(n, 10 / 12), np.full(n, 1 / 12)])
+        w = scipy.linalg.eigh(expand_band(A).toarray(), expand_band(M).toarray(),
+                              eigvals_only=True)
+        assume(np.all(np.abs(w - E) > 1e-9 * (1 + np.abs(w).max())))
+        assert _count_below(A, M, E) == int((w < E).sum())
+
+    # b = -l2 - sqrt(alpha) - 1 - 2k; the closed form binds every b > 1/2
+    @pytest.mark.parametrize("l2, root", [(-5, 1), (-5, 5), (-6, "3/2"), (-7, 3),
+                                          (-9, 2), (-9, 7), ("-15/2", 2)])
+    def test_counts_the_bound_xi_levels(self, l2, root):
+        V, grid, nu_left, nu_right, sigma = xi_case(2000, float(Fraction(l2)),
+                                                    float(Fraction(root)) ** 2)
+        A, M = _assemble(V, grid.h, nu_left, nu_right)
+        b = [-Fraction(l2) - Fraction(root) - 1 - 2 * k for k in range(20)]
+        bound = sum(1 for x in b if x > Fraction(1, 2))
+        # a level at the threshold E = 0 (b = 1/2) may fall on either side
+        want = {bound, bound + 1} if Fraction(1, 2) in b else {bound}
+        assert _count_below(A, M, 0.0) in want
+        assert _count_below(A, M, sigma) == 0
 
 
 class TestSolveTheta:
@@ -259,8 +295,8 @@ class TestSolveXi:
         assert abs(solve_xi(-5, 9.0, grid).eigenvalues[0] + 3 / 4) < 1e-3
 
     def test_deep_channel_reports_every_bound_level(self):
-        # (-21, alpha = 1) binds 10 levels, more than the first solve's
-        # nev = 8; the two shallowest are the ladder's -35/4 and -3/4
+        # (-21, alpha = 1) binds 10 levels, all of which the count must ask
+        # ARPACK for; the two shallowest are the ladder's -35/4 and -3/4
         r = solve_xi(-21, 1.0, GridSpec("xi", 6000, cutoff=25.0))
         assert len(r.eigenvalues) == 10
         assert abs(r.eigenvalues[-2] + 35 / 4) < 1e-3
@@ -269,6 +305,16 @@ class TestSolveXi:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ParameterError):
             solve_xi(-5, 0.0, GridSpec("xi", 100))
+
+    def test_empty_channel_makes_no_arpack_call(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def eigs(*args, **kw):
+            raise AssertionError("ARPACK called on a channel that binds nothing")
+
+        monkeypatch.setattr(spla, "eigs", eigs)
+        r = solve_xi(-5, 25.0, GridSpec("xi", 2000, cutoff=25.0))
+        assert r.eigenvalues == () and r.residual_norms == ()
 
     def test_convergence_order(self):
         errs = []
