@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ladderspec import (EigenResult, GridSpec, ParameterError, ground_full,
                         residual_on_grid, solve_theta, solve_xi)
-from ladderspec import numeric
 from ladderspec.numeric import _CORRECTED_ROWS, _assemble, _count_below, _solve
 
 

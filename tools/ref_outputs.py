@@ -11,9 +11,9 @@ argv.  The commands are the golden cases of ``tests/test_golden.py``, more
 ``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures and at the
 spectrum-sweep anchor (2, 2, -12), the lattices, three states (one deep
 enough to print a normalization, one at a vertex that the E < 0 cut
-rejects), a sample, ``crosscheck`` (at one label a channel has a level at
-the threshold E = 0), and labels with negative entries next to their branch
-labels.  A refactor that keeps the program's behavior prints the same lines.
+rejects), a sample, ``crosscheck`` (at one label each binding channel
+has a level at the threshold E = 0), and labels with negative entries next
+to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     ["crosscheck"] + label("-2", "0", "-9"),
     ["crosscheck"] + label("-2", "0", "9"),
     ["crosscheck"] + label("2", "0", "-9"),
-    # its last xi channel has a level at the threshold E = 0 (b = 1/2)
+    # each of its three binding xi channels has a level at E = 0 (b = 1/2)
     ["crosscheck"] + label("1", "0", "-15/2"),
 ]
 
