@@ -45,8 +45,8 @@ offending term in that order.  Evaluation raises `DomainError` for a
 negative offset on a zero base (sin at theta = 0, cos at pi/2, sinh at
 xi = 0) and writes cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term
 underflows to 0 where cosh overflows.  `integral` has one row path: the
-class terms in that order, recombined where they grow (`_lower_growth`, on
-the same triples), summed as floats.
+class terms in that order, each valued by its Beta functions, continued
+analytically where the term grows (`_continued_beta`), summed as floats.
 Only `eval_grid` works on float arrays, so it alone imports numpy, in its
 body: the exact algebra loads without it.
 
@@ -590,46 +590,33 @@ def _divergence(f: FunExpr, k: int) -> str | None:
     return None
 
 
-def _lower_growth(terms: list[Term]) -> list[Term]:
-    """Rewrite so every term satisfies r+s < -1, exactly.
+def _gamma_sign(x: Fraction) -> int:
+    """Sign of Gamma(x) off its poles: +1 above 0, (-1)^ceil(-x) below."""
+    return 1 if x > 0 or math.floor(x) % 2 == 0 else -1
 
-    The normal form may carry monomials of matching growth whose theta
-    profiles cancel; such a pack is recombined through the telescoping
-    identity cosh^2k - sinh^2k = sum_m cosh^2m sinh^(2k-2-2m), which lowers
-    r+s by two per pass.  Only packs inside one exponent class mod 2 can be
-    recombined; anything else that still grows is a genuine obstruction.
-    The test r+s >= -1 runs on ints, (r+s+1) rd sd >= 0, so the Fraction
-    growths are formed only when some term grows.  The packs are keyed by
-    the r and s residues and anchored at their largest R; their new terms
-    follow the untouched ones.
+
+def _continued_beta(a: float, b: Fraction, c: Fraction) -> float:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(c), c = a + b, continued from b > 0
+    to b <= 0 with a > 0 fixed (DLMF 5.12.1), through log|Gamma| and signs.
+
+    At a pole b = -n it is the finite part at b + delta, c + delta, from
+    Gamma(-n + delta) = (-1)^n / n! (1/delta + psi(n+1)) + O(delta) (DLMF
+    5.7.1).  If c = -m too, the two 1/delta cancel and a = n - m is an
+    integer, which leaves (-1)^(n+m) m! (n-m-1)! / n!; at a pole c alone
+    1/Gamma(c) is 0.
     """
-    work = terms
-    while any(rn * sd + sn * rd + (2 * (R + S) + 1) * rd * sd >= 0
-              for (_, _, _, _, rn, rd, sn, sd), (_, _, R, S), _ in work):
-        growth = [_exponent(rn, rd, R) + _exponent(sn, sd, S)
-                  for (_, _, _, _, rn, rd, sn, sd), (_, _, R, S), _ in work]
-        gmax = max(growth)
-        packs: dict[tuple[int, ...], list[Term]] = {}
-        for t, g in zip(work, growth):
-            if g == gmax:
-                packs.setdefault(t[0][4:], []).append(t)
-        new_terms: list[Term] = []
-        for pack in packs.values():
-            acc: Classes = {}
-            for cls, (P, Q, _, _), c in pack:
-                _expand(acc.setdefault(cls[:4] + (0, 1, 0, 1), {}), P, Q, 0, 0, c)
-            profile = FunExpr._pruned(acc)
-            if not profile.is_zero:
-                raise DivergenceError(
-                    f"large-xi growth exponent {gmax} with profile {profile}")
-            aR, aS = max(pack, key=lambda t: t[1][2])[1][2:]
-            for cls, (P, Q, R, _), c in pack:
-                # k = aR - R; k = 0 terms (anchor included) are fully
-                # absorbed by the cancelling profile
-                new_terms += [(cls, (P, Q, R + j, aS + aR - R - 1 - j), -c)
-                              for j in range(aR - R)]
-        work = [t for t, g in zip(work, growth) if g != gmax] + new_terms
-    return work
+    if c <= 0 and c.denominator == 1:
+        if b.denominator != 1:
+            return 0.0
+        n, m = -int(b), -int(c)
+        return (-1) ** (n + m) * math.factorial(m) * math.factorial(n - m - 1) / math.factorial(n)
+    ratio = _gamma_sign(c) * math.exp(math.lgamma(a) - math.lgamma(c))  # Gamma(a) / Gamma(c)
+    if b.denominator != 1:
+        return _gamma_sign(b) * ratio * math.exp(math.lgamma(b))
+    from scipy.special import digamma
+
+    n = -int(b)
+    return (-1) ** n * ratio * float(digamma(n + 1) - digamma(float(c))) / math.factorial(n)
 
 
 def integral(f: FunExpr) -> float:
@@ -644,8 +631,12 @@ def integral(f: FunExpr) -> float:
     are those of `f.classes` (a raw `FunExpr(terms)` integrates its summed
     classes), in the one term order of `_class_terms`, lexicographic on
     (p, q, r, s): the terms cancel, so the last bits depend on that order.
-    When some term has r+s >= -1 the terms whose individual growth would
-    diverge are first recombined exactly (`_lower_growth`); a genuine
+    A term with r+s >= -1, so b = -(r+s+1)/2 <= 0, diverges alone; once
+    `_divergence` has passed the exact growth profiles, f is integrable and
+    the sum of its terms' Beta values continued in b (`_continued_beta`) is
+    its integral.  The regulator cosh^-eps, under which every term
+    converges, moves b and c = (1-r)/2 by eps/2 and keeps a = (s+2)/2, and
+    the 1/eps parts of the poles cancel across the terms at eps = 0.  A
     divergence raises with the first offending term or the growth profile.
     Each Beta argument is an int true division of unreduced numerator and
     denominator, which is correctly rounded, so it equals float() of the
@@ -655,13 +646,17 @@ def integral(f: FunExpr) -> float:
     if reason:
         raise DivergenceError(reason)
     total = 0.0
-    for (pn, pd, qn, qd, rn, rd, sn, sd), (P, Q, R, S), c in \
-            _lower_growth(_class_terms(f.classes)):
+    for (pn, pd, qn, qd, rn, rd, sn, sd), (P, Q, R, S), c in _class_terms(f.classes):
         d = rd * sd
-        total += c.numerator / c.denominator * 0.25 * math.exp(
-            _log_beta((qn + (2 * Q + 1) * qd) / qd / 2, (pn + (2 * P + 1) * pd) / pd / 2)
-            + _log_beta((sn + (2 * S + 2) * sd) / sd / 2,
-                        -((rn * sd + sn * rd + (2 * (R + S) + 1) * d) / d) / 2))
+        n = rn * sd + sn * rd + (2 * (R + S) + 1) * d  # b = -n / 2d
+        theta = _log_beta((qn + (2 * Q + 1) * qd) / qd / 2, (pn + (2 * P + 1) * pd) / pd / 2)
+        a = (sn + (2 * S + 2) * sd) / sd / 2
+        if n < 0:
+            total += c.numerator / c.denominator * 0.25 * math.exp(
+                theta + _log_beta(a, -(n / d) / 2))
+        else:
+            total += c.numerator / c.denominator * 0.25 * math.exp(theta) * _continued_beta(
+                a, Fraction(-n, 2 * d), (1 - _exponent(rn, rd, R)) / 2)
     return total
 
 

@@ -318,9 +318,10 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     candidate level sums l0'+l2' walk upward in steps of two while the
     energy stays negative (sum < -5/2).  The levels come out in ascending
     energy with no sort, since E = -(s+3/2)(s+5/2) increases with the sum s
-    wherever s < -2.  Each level's degeneracy is the exact rank over Q of the states its vertex generates
-    at the target, and its witnesses are the sorted words of a basis of
-    them, with the normalizations aligned to the witnesses.
+    wherever s < -2.  Each level's degeneracy is the exact rank over Q of
+    the states its vertex generates at the target, and its witnesses are
+    the sorted words of a basis of them, with the normalizations aligned to
+    the witnesses.
     """
     # H depends on l_i only through l_i^2, and the sign picks the wall branch:
     # +|l0|, +|l1| is the Friedrichs branch at the theta walls, and -|l2| the
@@ -346,5 +347,4 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
         raise AdmissibilityError(
             f"no admissible vertex reaches {target}: vertices sit at l1 = 0 "
             "with l0+l2 < -5/2, and raising words change l1 only by integers")
-    # sigma grows by 2 per k and E(sigma) increases for sigma < -2: ascending
     return SpectrumReport(target, tuple(levels), tuple(norms))

@@ -221,9 +221,6 @@ def random_admissible(rng, nterms=3):
 
 
 class TestInner:
-    @pytest.mark.xfail(raises=DivergenceError, strict=True,
-                       reason="_lower_growth recombines growing terms only "
-                              "within one residue class")
     def test_growth_cancelling_across_residue_classes(self):
         # the leading e^(-xi/2) growth of the two terms cancels, but their
         # exponents lie in different classes mod 2; the value is a 60-digit

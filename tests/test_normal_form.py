@@ -10,25 +10,29 @@ offsets.  Their oracles are the earlier Monomial-level versions, which
 rebuild Fraction exponents term by term and normalize with `from_terms`.
 So is the oracle of the convergence checks `is_normalizable` and `integral`
 run, which reads the walls and the large-xi growth slots off `terms` and
-recombines growth with its own Monomial copy of `_lower_growth`, and the
-oracle of `eval_at` and `eval_grid`, which takes the Fraction powers of
-`terms` one by one.
+sums the terms' Beta values in `terms` order, continued through the poles
+of Gamma where a term grows, and the oracle of `eval_at` and `eval_grid`,
+which takes the Fraction powers of `terms` one by one.  The continued
+values of growing terms are also checked against 60-digit mpmath values
+and against mpmath sums of the regulated terms.
 """
 
 import math
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from ladderspec import (DivergenceError, DomainError, FunExpr, ParamPoint,
                         apply_word, bound_spectrum, d_theta, d_xi, eval_at,
                         eval_grid, ground_full, integral, is_normalizable,
                         norm_squared)
-from ladderspec.algebra import Monomial, _log_beta, rational
+from ladderspec.algebra import Monomial, rational
 
 
 # --- reference oracle: the stepwise reducer -------------------------------
@@ -323,45 +327,36 @@ def oracle_is_normalizable(f):
                for g in oracle_growth_slots(f, Fraction(-1, 2)))
 
 
-def oracle_lower_growth(terms):
-    """Rewrite so every term satisfies r+s < -1, exactly (the Monomial version).
+def oracle_log_beta(x: float, y: float) -> float:
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
-    The normal form may carry monomials of matching growth whose theta
-    profiles cancel; such a pack is recombined through the telescoping
-    identity cosh^2k - sinh^2k = sum_m cosh^2m sinh^(2k-2-2m), which lowers
-    r+s by two per pass.  Only packs inside one exponent class mod 2 can be
-    recombined; anything else that still grows is a genuine obstruction.
-    """
-    work = list(terms)
-    while True:
-        gmax = max((m.r + m.s for m in work), default=Fraction(-2))
-        if gmax < -1:
-            return work
-        top = [m for m in work if m.r + m.s == gmax]
-        rest = [m for m in work if m.r + m.s != gmax]
-        packs: dict[tuple, list[Monomial]] = {}
-        for m in top:
-            packs.setdefault((_residue(m.r), _residue(m.s)), []).append(m)
-        new_terms: list[Monomial] = []
-        for pack in packs.values():
-            profile = FunExpr.from_terms(
-                Monomial(m.coeff, m.p, m.q, Fraction(0), Fraction(0)) for m in pack)
-            if not profile.is_zero:
-                raise DivergenceError(
-                    f"large-xi growth exponent {gmax} with profile {profile}")
-            anchor = max(pack, key=lambda m: m.r)
-            for m in pack:
-                k = (anchor.r - m.r) / 2
-                assert k.denominator == 1 and k >= 0
-                # k = 0 terms (anchor included) are fully absorbed by the
-                # cancelling profile
-                for j in range(int(k)):
-                    new_terms.append(Monomial(-m.coeff, m.p, m.q,
-                                              m.r + 2 * j, anchor.s + 2 * (int(k) - 1 - j)))
-        work = rest + new_terms
+
+def oracle_gamma_sign(x: Fraction) -> int:
+    """Gamma changes sign at each of its poles 0, -1, -2, ..."""
+    return -1 if x < 0 and math.ceil(-x) % 2 else 1
+
+
+def oracle_continued_beta(a: Fraction, b: Fraction) -> float:
+    """B(a, b) for a > 0 >= b: the finite part of B(a, b + delta) at
+    delta -> 0, from Gamma(-n + delta) = (-1)^n / n! (1/delta + psi(n+1))
+    + O(delta) at the poles of Gamma(b) and Gamma(a + b)."""
+    c = a + b
+    if c <= 0 and c.denominator == 1:
+        if b.denominator != 1:
+            return 0.0  # 1/Gamma(c) = 0
+        n, m = int(-b), int(-c)  # the 1/delta cancel; Gamma(a) = (a-1)!
+        return float((-1) ** (n + m) * Fraction(math.factorial(m) * math.factorial(int(a) - 1),
+                                                math.factorial(n)))
+    ratio = oracle_gamma_sign(c) * math.exp(math.lgamma(float(a)) - math.lgamma(float(c)))
+    if b.denominator != 1:
+        return oracle_gamma_sign(b) * ratio * math.exp(math.lgamma(float(b)))
+    n = int(-b)
+    return (-1) ** n * ratio * float(digamma(n + 1) - digamma(float(c))) / math.factorial(n)
 
 
 def oracle_integral(f):
+    """Sum over `terms` of c B((q+1)/2, (p+1)/2) B((s+2)/2, -(r+s+1)/2) / 4,
+    the xi Beta continued in its second argument where the term grows."""
     terms = list(f.terms)
     for m in terms:
         oracle_check_walls(m)
@@ -371,12 +366,14 @@ def oracle_integral(f):
             if not prof.is_zero:
                 raise DivergenceError(
                     f"large-xi growth exponent {g} with profile {prof}")
-        terms = oracle_lower_growth(terms)
     total = 0.0
     for m in terms:
-        lb = _log_beta(float(m.q + 1) / 2, float(m.p + 1) / 2) \
-            + _log_beta(float(m.s + 2) / 2, -float(m.r + m.s + 1) / 2)
-        total += float(m.coeff) * 0.25 * math.exp(lb)
+        theta = oracle_log_beta(float(m.q + 1) / 2, float(m.p + 1) / 2)
+        a, b = (m.s + 2) / 2, -(m.r + m.s + 1) / 2
+        if b > 0:
+            total += float(m.coeff) * 0.25 * math.exp(theta + oracle_log_beta(float(a), float(b)))
+        else:
+            total += float(m.coeff) * 0.25 * math.exp(theta) * oracle_continued_beta(a, b)
     return total
 
 
@@ -401,14 +398,44 @@ def _terms(*rows):
     return [Monomial(*map(Fraction, row)) for row in rows]
 
 
+# Integrable functions whose normal form has growing terms (r+s >= -1), each
+# with the 60-digit value of its integral: mpmath.quad over xi of the terms
+# as written, theta integrated in closed form, at a working precision that
+# outlasts their cancellation at large xi.  Between them they reach every
+# branch of the continued Beta value B(a, b), b = -(r+s+1)/2 <= 0.
+GROWTH_VALUES = [
+    # the former strict xfail of test_algebra: the growth cancels between
+    # two classes; b = -1/4
+    (_terms((1, 0, 0, "-3/4", "1/4"), (-1, 0, 0, -1, "1/2")),
+     "0.162239298266224436156172422760065894661928594246060270212509"),
+    # the growth of the normal form cancels at the top slot; the next slot
+    # down is still at or above -1 for `integral`, and at -1/2 for
+    # `is_normalizable`; b = -1/2, -1/2 and -1/4 for the second
+    (_terms((1, 1, 1, "-7/2", "-1/2")),
+     "0.239628046947118441487984498456064775645442532643130311652735"),
+    # b = -1 is a pole of Gamma(b) alone, so the finite part takes psi
+    (_terms((1, 1, 1, "-5/2", "-1/2")),
+     "0.333333333333333333333333333333333333333333333333333333333333"),
+    (_terms((1, 1, 1, "-9/4", "-1/4")),
+     "0.37232782279408056997390329457069966709625007917825604461053"),
+    # cosh - sinh - sech/2 decays like e^(-3 xi); cosh^1 has b = -1 and
+    # c = a + b = 0, both poles, and sech has b = 0
+    (_terms((1, 0, 0, 1, 0), (-1, 0, 0, 0, 1), ("-1/2", 0, 0, -1, 0)),
+     "0.151697440877176377817341801649465626309999750170433345959581"),
+    # cosh^1 sinh^(-1/2) has c = 0 at b = -3/4, so it adds 0
+    (_terms((1, 0, 0, 1, "-1/2"), (-1, 0, 0, "-1/2", 1)),
+     "2.7458122499512480095778267631315876583847605945607750086407"),
+]
+
+
+def growth_examples(test):
+    for terms, _ in GROWTH_VALUES:
+        test = example(terms)(test)
+    return test
+
+
 @given(st.one_of(term_lists, st.lists(monomials().map(_off_the_walls), max_size=4)))
-# the strict xfail of test_algebra: growth that cancels across classes
-@example(_terms((1, 0, 0, "-3/4", "1/4"), (-1, 0, 0, -1, "1/2")))
-@example(_terms((1, 1, 1, "-7/2", "-1/2")))
-# the growth of the normal form cancels at the top slot; the next slot down
-# is still at or above -1 for `integral`, and at -1/2 for `is_normalizable`
-@example(_terms((1, 1, 1, "-5/2", "-1/2")))
-@example(_terms((1, 1, 1, "-9/4", "-1/4")))
+@growth_examples
 # slot 3 cancels between two classes and slot 1 against a third, so the
 # u^2 coefficients of (1+u)^r (1-u)^s decide slot -1
 @example(_terms((1, 0, 0, "1/4", "11/4"), (-1, 0, 0, "1/2", "5/2"),
@@ -420,6 +447,74 @@ def test_convergence_checks_match_oracle(terms):
     want_value, want_message = _outcome(oracle_integral, f)
     assert message == want_message  # the first offender in `terms` order
     assert value == want_value
+
+
+@pytest.mark.parametrize("terms, value", GROWTH_VALUES)
+def test_growth_integral_matches_60_digit_value(terms, value):
+    got = integral(FunExpr.from_terms(terms))
+    assert type(got) is float
+    assert abs(got - mpmath.mpf(value)) <= 1e-14 * abs(mpmath.mpf(value))
+
+
+def test_integral_and_norm_return_python_floats():
+    """No numpy scalar leaks from the digamma of a pole term: the zero
+    function, a decaying monomial, and h, whose square has poles b = 0."""
+    h = FunExpr.from_terms(GROWTH_VALUES[0][0])
+    for f in (FunExpr(), FunExpr.from_terms(_terms((1, 1, 1, -4, 1))), h):
+        assert type(integral(f)) is float
+        assert type(norm_squared(f)) is float
+
+
+def _mp(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def regulated_terms(f, delta):
+    """The terms of `integral(f)` at the regulator cosh^(-2 delta), under
+    which each converges, at the working precision of mpmath."""
+    return [_mp(m.coeff) / 4 * mpmath.beta(_mp(m.q + 1) / 2, _mp(m.p + 1) / 2)
+            * mpmath.gamma(_mp(m.s + 2) / 2) * mpmath.gamma(-_mp(m.r + m.s + 1) / 2 + delta)
+            / mpmath.gamma(_mp(1 - m.r) / 2 + delta) for m in f.terms]
+
+
+@st.composite
+def integrable_growth(draw):
+    """Integrable sums whose normal form grows.  A pair
+    c cos^p sin^q (cosh^r1 sinh^(g-r1) - cosh^r2 sinh^(g-r2)) with
+    -1 <= g < 1 cancels at its one slot g >= -1, across classes when
+    r1 - r2 is not an even integer; a monomial with -2 < s < 0 and
+    r+s < -1 decays, but its normal form carries growing terms."""
+    def exponent(lo, hi):
+        d = draw(st.integers(1, 4))
+        return Fraction(draw(st.integers(math.floor(lo * d) + 1, math.ceil(hi * d) - 1)), d)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+        p, q = exponent(-1, 4), exponent(-1, 4)
+        if draw(st.booleans()):
+            g = Fraction(draw(st.integers(-4, 3)), 4)
+            r1, r2 = exponent(-6, g + 2), exponent(-6, g + 2)
+            terms += [Monomial(c, p, q, r1, g - r1), Monomial(-c, p, q, r2, g - r2)]
+        else:
+            s = exponent(-2, 0)
+            terms.append(Monomial(c, p, q, exponent(-8, -1 - s), s))
+    return FunExpr.from_terms(terms)
+
+
+@given(integrable_growth())
+def test_growth_integral_matches_regulated_sum(f):
+    """The continued Beta values against the regulated terms at delta =
+    1e-60 and 2e-60 with 140 digits: a pole term is P/delta + F + O(delta),
+    so 2 t(2 delta) - t(delta) is its finite part F, and the sum of the
+    t(delta) is the integral to O(delta) once the P cancel."""
+    got = integral(f)
+    assert type(got) is float
+    with mpmath.workdps(140):
+        delta = mpmath.mpf("1e-60")
+        once, twice = regulated_terms(f, delta), regulated_terms(f, 2 * delta)
+        scale = mpmath.fsum(abs(2 * y - x) for x, y in zip(once, twice))
+        assert abs(got - mpmath.fsum(once)) <= 1e-14 * scale
 
 
 def _decaying(m):

@@ -12,9 +12,11 @@ each workload of BENCHMARK.json, ``perfbench/run.py --workload W --seed
 BENCHMARK.json, runs once in the parent tree and once in the working tree,
 one run at a time; even pairs start with the parent, odd pairs with the
 change.  The output holds, per workload and end-to-end
-metric, both sides' runs with their median and quartiles and the number of
-pairs the change won; the failed and attempted op counts and whether every
-run was correct; both git SHAs, the Python version and the core count.
+metric, both sides' runs with their median and quartiles, the number of
+pairs the change won and the gate's verdict (`verdict`); the failed and
+attempted op counts and whether every run was correct; both git SHAs, the
+Python version and the core count.  The verdicts are also printed, one
+line per workload and metric.
 """
 
 from __future__ import annotations
@@ -59,6 +61,20 @@ def summary(values: list[float]) -> dict:
             "runs": values}
 
 
+def verdict(parent: dict, change: dict, better: str, bound: float) -> dict:
+    """The change/parent median ratio, the parent IQR as a share of the
+    parent median, and whether the change is at most `bound` (relative)
+    worse: "within" or "worse", or "unresolved" when that IQR share
+    exceeds the bound, since the parent's own runs then spread too widely
+    to tell."""
+    ratio = change["median"] / parent["median"]
+    spread = parent["iqr"] / parent["median"]
+    worse = ratio - 1 if better == "lower" else 1 - ratio
+    return {"ratio": ratio, "parent_iqr_share": spread, "bound": bound,
+            "verdict": "unresolved" if spread > bound
+            else "within" if worse <= bound else "worse"}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="parent revision")
@@ -74,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     # a terminated run still removes its temporary parent tree
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -104,13 +120,18 @@ def main(argv: list[str] | None = None) -> int:
                         "failed": sum(r["failed"] for r in runs[w][side]),
                         "all_correct": all(r["correct"] for r in runs[w][side])}
                  for side in SIDES}
-        for name, better in metrics.items():
+        for name, metric in metrics.items():
             vals = {side: [r["metrics"][name]["value"] for r in runs[w][side]]
                     for side in SIDES}
-            sign = 1 if better == "lower" else -1
+            sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
             entry[name] = {side: summary(vals[side]) for side in SIDES}
             entry[name]["change_wins"] = wins
+            v = entry[name]["verdict"] = verdict(entry[name]["parent"], entry[name]["change"],
+                                                 metric["better"], metric["bound"])
+            print(f"{w} {name}: ratio {v['ratio']:.3f}, parent IQR "
+                  f"{v['parent_iqr_share']:.1%} of median, bound {v['bound']:.0%}: "
+                  f"{v['verdict']}")
         out["workloads"][w] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
