@@ -404,22 +404,23 @@ def _terms(*rows):
 # outlasts their cancellation at large xi.  Between them they reach every
 # branch of the continued Beta value B(a, b), b = -(r+s+1)/2 <= 0.
 GROWTH_VALUES = [
-    # the former strict xfail of test_algebra: the growth cancels between
-    # two classes; b = -1/4
+    # test_algebra's cross-class case: the growth cancels between two
+    # classes; b = -1/4
     (_terms((1, 0, 0, "-3/4", "1/4"), (-1, 0, 0, -1, "1/2")),
      "0.162239298266224436156172422760065894661928594246060270212509"),
-    # the growth of the normal form cancels at the top slot; the next slot
-    # down is still at or above -1 for `integral`, and at -1/2 for
-    # `is_normalizable`; b = -1/2, -1/2 and -1/4 for the second
+    # a decaying monomial whose normal form has two terms with b = -1/2
     (_terms((1, 1, 1, "-7/2", "-1/2")),
      "0.239628046947118441487984498456064775645442532643130311652735"),
-    # b = -1 is a pole of Gamma(b) alone, so the finite part takes psi
+    # the growth of the normal form cancels at the top slot; the next slot
+    # down is still at or above -1 for `integral`, and at -1/2 for
+    # `is_normalizable`.  Here b = -1, -1 and 0 are poles of Gamma(b)
+    # alone, so the finite parts take psi
     (_terms((1, 1, 1, "-5/2", "-1/2")),
      "0.333333333333333333333333333333333333333333333333333333333333"),
     (_terms((1, 1, 1, "-9/4", "-1/4")),
      "0.37232782279408056997390329457069966709625007917825604461053"),
     # cosh - sinh - sech/2 decays like e^(-3 xi); cosh^1 has b = -1 and
-    # c = a + b = 0, both poles, and sech has b = 0
+    # c = a + b = 0, both poles, sinh has b = -1 and sech b = 0
     (_terms((1, 0, 0, 1, 0), (-1, 0, 0, 0, 1), ("-1/2", 0, 0, -1, 0)),
      "0.151697440877176377817341801649465626309999750170433345959581"),
     # cosh^1 sinh^(-1/2) has c = 0 at b = -3/4, so it adds 0
