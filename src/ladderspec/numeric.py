@@ -29,14 +29,18 @@ from .algebra import RationalLike, eval_grid
 from .operators import LabeledState
 
 
-def _to_float(x) -> float:
-    return float(x) if isinstance(x, float) else float(Fraction(x))
-
 _CORRECTED_ROWS = 16
 
 
 class ParameterError(ValueError):
     """Solver parameters outside the admissible range."""
+
+
+def _to_float(x) -> float:
+    v = float(x) if isinstance(x, float) else float(Fraction(x))
+    if not math.isfinite(v):
+        raise ParameterError(f"labels must be finite, got {v}")
+    return v
 
 
 class TruncationWarning(UserWarning):
@@ -228,8 +232,8 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
     """
     L2 = _to_float(l2)
     a = float(alpha)
-    if not a > 0:
-        raise ParameterError(f"separation constant alpha must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ParameterError(f"separation constant alpha must be positive and finite, got {a}")
     if grid.variable != "xi":
         raise ParameterError("solve_xi needs a xi grid")
     x = grid.nodes()

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _linear, _monomial,
-                      _rules, d_theta, d_xi, rational)
+from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _class_terms, _linear,
+                      _monomial, _rules, d_theta, d_xi, rational)
 
 HALF = Fraction(1, 2)
 
@@ -265,13 +265,18 @@ def apply_hamiltonian(st: LabeledState) -> FunExpr:
 
 
 def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
+    """Raise unless f lives in the operator's variables, naming the first
+    offending term in the term order; the classes are sorted only after a hit."""
     kind = "a hyperbolic-variable" if hyperbolic else "a theta-only"
     absent = (0, 1) if hyperbolic else (2, 3)  # exponent slots that must be 0
-    for cls, terms in f.classes.items():
-        for k, c in terms.items():
-            if any(cls[2 * i] or k[i] for i in absent):
-                raise VariableMismatchError(f"{which} operator expects {kind} "
-                                            f"expression, got {_monomial(cls, k, c)}")
+
+    def foreign(cls: tuple, offs: tuple) -> bool:
+        return any(cls[2 * i] or offs[i] for i in absent)
+
+    if any(foreign(cls, offs) for cls, row in f.classes.items() for offs in row):
+        bad = next(t for t in _class_terms(f.classes) if foreign(t[0], t[1]))
+        raise VariableMismatchError(f"{which} operator expects {kind} "
+                                    f"expression, got {_monomial(*bad)}")
 
 
 def apply_separated(which: str, f: FunExpr,

@@ -1,18 +1,19 @@
 """Fundamental states, representation lattices and bound spectra.
 
-A representation is seeded by a vertex state at l = (l0, 0, l2) annihilated
-by the three lowering operators, with energy
-
-    E0 = -(l0 + l2 + 3/2)(l0 + l2 + 5/2).
-
-Raising words generate the rest of the representation; every generated state
-is an exact eigenstate of the Hamiltonian at its own label with the vertex
-energy.  The bound spectrum of one Hamiltonian collects the vertices whose
-lattice reaches its label.  Degeneracy is the exact rank over Q of the
-generated states at a label, never assumed from a counting rule: the normal
-form is canonical, so the rank of the states' coefficient vectors is the
-dimension of their span.  A witness is a raising word whose state entered
-that basis.  The float Gram rank stays as a numerical cross-check.
+Each 1D factor Hamiltonian's ground state is the kernel of its family's
+lowering intertwiner, derived from `operators._FAMILIES` by one builder
+under one admissibility rule.  A representation is seeded by a vertex at
+l = (l0, 0, l2), the separated product of the theta and chi ground states,
+annihilated by the three lowering operators; its energy is the chi
+factorization constant plus 1/4.  Raising words generate the rest of the
+representation; every generated state is an exact eigenstate of the
+Hamiltonian at its own label with the vertex energy.  The bound spectrum of
+one Hamiltonian collects the vertices whose lattice reaches its label.
+Degeneracy is the exact rank over Q of the generated states at a label,
+never assumed from a counting rule: the normal form is canonical, so the
+rank of the states' coefficient vectors is the dimension of their span.  A
+witness is a raising word whose state entered that basis.  The float Gram
+rank stays as a numerical cross-check.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import (FunExpr, RationalLike, inner, is_normalizable, monomial,
-                      norm_squared, rational)
+from .algebra import (_WALLS, D_XI, FunExpr, RationalLike, inner,
+                      is_normalizable, monomial, norm_squared, rational)
 # apply stays importable from here for tools that rebind the operator layer
-from .operators import (HALF, SHIFTS, LabeledState, OperatorName as O,
-                        ParamPoint, apply, apply_word)
+from .operators import (_FAMILIES, HALF, QUARTER, SHIFTS, LabeledState, OperatorName as O,
+                        ParamPoint, apply, apply_word, separated_eigenvalue)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,52 +40,64 @@ class AdmissibilityError(ValueError):
     """Parameters violate a normalizability constraint."""
 
 
+# the E < 0 cut on a vertex's l0 + l2, read by `ground_full` and
+# `bound_spectrum`; the vertex is normalizable already for l0 + l2 < -2
+_VERTEX_CUT = Fraction(-5, 2)
+
+
+def _ground(family: str, x: RationalLike, y: RationalLike) -> FunExpr:
+    """Ground state of a family's 1D factor Hamiltonian at its slots (x, y).
+
+    It is the kernel base_x^(sigma x + 1/2) base_y^(y + 1/2) of the family's
+    lowering intertwiner (`operators._FAMILIES`), where base_j is the chart
+    function whose log-derivative is the multiplier m_j, the one in m_j's
+    denominator.  One rule decides admissibility: every wall exponent must
+    be >= 0 (the Friedrichs branch), and on xi cosh^r sinh^s must decay,
+    r + s < 0.  The message names every condition that fails.
+    """
+    fam = _FAMILIES[family]
+    e = [0] * 4
+    for m, power in zip(fam.mults_1d, (fam.sigma * rational(x) + HALF, rational(y) + HALF)):
+        e[m.index(-1)] = power
+    failed = [f"the {base} exponent >= 0, got {base}^({e[i]})"
+              for i, base, _, _ in _WALLS if e[i] < 0]
+    if fam.deriv_1d is D_XI and not e[2] + e[3] < 0:
+        failed.append(f"cosh^r sinh^s with r+s < 0 to decay, got r+s = {e[2] + e[3]}")
+    if failed:
+        raise AdmissibilityError(f"{fam.separated} ground state needs " + "; ".join(failed))
+    return monomial(1, *e)
+
+
 def ground_theta(l0: RationalLike, l1: RationalLike) -> FunExpr:
-    """cos^(l0+1/2) sin^(l1+1/2); needs l0, l1 >= -1/2."""
-    l0, l1 = rational(l0), rational(l1)
-    if l0 < -HALF or l1 < -HALF:
-        raise AdmissibilityError(
-            f"theta ground state needs l0, l1 >= -1/2, got ({l0}, {l1})")
-    return monomial(1, l0 + HALF, l1 + HALF, 0, 0)
+    """Ground state of the theta factor Hamiltonian (family A) at (l0, l1)."""
+    return _ground("A", l0, l1)
 
 
 def ground_chi(l0: RationalLike, l2: RationalLike) -> FunExpr:
-    """cosh^(l2+1/2) sinh^(l0+1/2); needs l0 >= -1/2 and l0+l2 < -1."""
-    l0, l2 = rational(l0), rational(l2)
-    if l0 < -HALF:
-        raise AdmissibilityError(f"chi ground state needs l0 >= -1/2, got {l0}")
-    if not l0 + l2 < -1:
-        raise AdmissibilityError(
-            f"chi ground state needs l0+l2 < -1, got {l0 + l2}")
-    return monomial(1, 0, 0, l2 + HALF, l0 + HALF)
+    """Ground state of the chi factor Hamiltonian (family B) at (l0, l2)."""
+    return _ground("B", l0, l2)
 
 
 def ground_beta(l1: RationalLike, l2: RationalLike) -> FunExpr:
-    """cosh^(l2+1/2) sinh^(-l1+1/2); needs l2-l1 < -1 and l1 <= 1/2."""
-    l1, l2 = rational(l1), rational(l2)
-    if not l2 - l1 < -1:
-        raise AdmissibilityError(
-            f"beta ground state needs l2-l1 < -1, got {l2 - l1}")
-    if l1 > HALF:
-        raise AdmissibilityError(f"beta ground state needs l1 <= 1/2, got {l1}")
-    return monomial(1, 0, 0, l2 + HALF, -l1 + HALF)
+    """Ground state of the beta factor Hamiltonian (family C) at (l1, l2)."""
+    return _ground("C", l1, l2)
 
 
 def ground_full(l0: RationalLike, l2: RationalLike) -> LabeledState:
-    """Joint vacuum cos^(l0+1/2) sin^(1/2) cosh^(l2+1/2) sinh^(l0+1) at (l0, 0, l2).
+    """The vertex at (l0, 0, l2), annihilated by all three lowering operators.
 
-    Annihilated by all three lowering operators, with energy
-    E = -(l0+l2+3/2)(l0+l2+5/2).  Needs l0 >= -1/2 and l0 + l2 < -5/2; the
-    latter cut keeps E < 0, while the state is normalizable under the
-    invariant measure already for l0 + l2 < -2.
+    It is the separated product of the theta ground state at (l0, 0) and
+    the chi ground state at its separation index (1 + l0, l2), times the
+    sinh^(-1/2) that undoes the chi similarity; its energy is
+    `vertex_energy`.  The theta rule is checked first, then the E < 0 cut
+    `_VERTEX_CUT`.
     """
     l0, l2 = rational(l0), rational(l2)
-    if l0 < -HALF:
-        raise AdmissibilityError(f"vertex needs l0 >= -1/2, got {l0}")
-    if not l0 + l2 < Fraction(-5, 2):
+    theta = _ground("A", l0, 0)
+    if not l0 + l2 < _VERTEX_CUT:
         raise AdmissibilityError(
-            f"vertex needs l0+l2 < -5/2 for energy E < 0, got {l0 + l2}")
-    expr = monomial(1, l0 + HALF, HALF, l2 + HALF, l0 + 1)
+            f"vertex needs l0+l2 < {_VERTEX_CUT} for energy E < 0, got {l0 + l2}")
+    expr = theta * monomial(1, 0, 0, 0, -HALF) * _ground("B", 1 + l0, l2)
     return LabeledState(ParamPoint(l0, Fraction(0), l2), expr)
 
 
@@ -94,9 +107,9 @@ def so42_vacuum(l2: RationalLike) -> LabeledState:
 
 
 def vertex_energy(l0: RationalLike, l2: RationalLike) -> Fraction:
-    """-(l0+l2+3/2)(l0+l2+5/2); shared by the whole representation."""
-    sigma = rational(l0) + rational(l2)
-    return -((sigma + Fraction(3, 2)) * (sigma + Fraction(5, 2)))
+    """The chi factorization constant at the vertex's separation index
+    (1 + l0, l2) plus 1/4; shared by the whole representation."""
+    return separated_eigenvalue("B", (1 + rational(l0), l2)) + QUARTER
 
 
 # Raising sets: the B-type raisings are commutators of these and add no new
@@ -315,10 +328,10 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     The target is solved, and reported, at its branch label
     (|l0|, |l1|, -|l2|).  A vertex (l0', 0, l2') reaches it only with
     l0' = l0 + k and l2' = l2 + l1 + k for a nonnegative word count k, so
-    candidate level sums l0'+l2' walk upward in steps of two while the
-    energy stays negative (sum < -5/2).  The levels come out in ascending
-    energy with no sort, since E = -(s+3/2)(s+5/2) increases with the sum s
-    wherever s < -2.  Each level's degeneracy is the exact rank over Q of
+    candidate level sums l0'+l2' walk upward in steps of two up to the
+    E < 0 cut `_VERTEX_CUT`.  The levels come out in ascending energy with
+    no sort, since `vertex_energy` increases with the sum wherever it is
+    below -2.  Each level's degeneracy is the exact rank over Q of
     the states its vertex generates at the target, and its witnesses are
     the sorted words of a basis of them, with the normalizations aligned to
     the witnesses.
@@ -332,8 +345,7 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     for k in itertools.count():
         v0 = target.l0 + k
         v2 = target.l2 + target.l1 + k
-        sigma = v0 + v2
-        if not sigma < Fraction(-5, 2):
+        if not v0 + v2 < _VERTEX_CUT:
             break
         vertex = ParamPoint(v0, Fraction(0), v2)
         kept = _witnesses(vertex, target, "su21")
@@ -346,5 +358,5 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
     if not levels:
         raise AdmissibilityError(
             f"no admissible vertex reaches {target}: vertices sit at l1 = 0 "
-            "with l0+l2 < -5/2, and raising words change l1 only by integers")
+            f"with l0+l2 < {_VERTEX_CUT}, and raising words change l1 only by integers")
     return SpectrumReport(target, tuple(levels), tuple(norms))

@@ -257,6 +257,11 @@ class TestSolveTheta:
         with pytest.raises(ParameterError):
             solve_theta(-1, 0, GridSpec("theta", 100))
 
+    @pytest.mark.parametrize("l0", [math.nan, math.inf])
+    def test_non_finite_label_is_a_parameter_error(self, l0):
+        with pytest.raises(ParameterError, match="finite"):
+            solve_theta(l0, 0, GridSpec("theta", 200))
+
     def test_residual_invariant(self):
         r = solve_theta("1/2", "3/2", GridSpec("theta", 500))
         for ev, res in zip(r.eigenvalues, r.residual_norms):
@@ -304,6 +309,11 @@ class TestSolveXi:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ParameterError):
             solve_xi(-5, 0.0, GridSpec("xi", 100))
+
+    @pytest.mark.parametrize("l2, alpha", [(-5, math.inf), (math.nan, 9.0)])
+    def test_non_finite_input_is_a_parameter_error(self, l2, alpha):
+        with pytest.raises(ParameterError, match="finite"):
+            solve_xi(l2, alpha, GridSpec("xi", 200))
 
     def test_empty_channel_makes_no_arpack_call(self, monkeypatch):
         import scipy.sparse.linalg as spla

@@ -8,7 +8,11 @@ The oracle below is the earlier form of the same facts, spelled out per
 generator or per family: a literal 15-entry shift table, twelve coefficient
 builders, a per-family 1D intertwiner, the per-family constants and
 diagonal eigenvalues, the Casimir written term by term and a literal
-45-entry reflection table.  Both must give identical results.
+45-entry reflection table.  `spectra` derives the fundamental states from
+the same table; their oracle is the hand-written form: three 1D ground
+monomials with six inequalities, the vertex monomial with its two checks,
+and the vertex energy -(s+3/2)(s+5/2).  Both must give identical results,
+and accept and reject the same labels.
 """
 
 from fractions import Fraction
@@ -18,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderspec import (FunExpr, LabeledState, OperatorName, ParamPoint, apply,
-                        apply_casimir, d_theta, d_xi, diag_eigenvalue,
-                        monomial, reflect, separated_eigenvalue,
-                        separated_ladder)
+from ladderspec import (AdmissibilityError, FunExpr, LabeledState, OperatorName,
+                        ParamPoint, apply, apply_casimir, d_theta, d_xi,
+                        diag_eigenvalue, ground_beta, ground_chi, ground_full,
+                        ground_theta, monomial, reflect, separated_eigenvalue,
+                        separated_ladder, vertex_energy)
 from ladderspec.algebra import Monomial, RationalLike, rational
 from ladderspec.operators import LADDER_OPERATORS, SHIFTS
 
@@ -185,6 +190,53 @@ _REFLECT_TABLE: dict[int, dict[OperatorName, tuple[int, OperatorName]]] = {
 }
 
 
+# --- reference oracle: the fundamental states written per builder --------
+
+def hand_ground_theta(l0: Fraction, l1: Fraction) -> FunExpr:
+    if l0 < -HALF or l1 < -HALF:
+        raise AdmissibilityError("theta")
+    return monomial(1, l0 + HALF, l1 + HALF, 0, 0)
+
+
+def hand_ground_chi(l0: Fraction, l2: Fraction) -> FunExpr:
+    if l0 < -HALF or not l0 + l2 < -1:
+        raise AdmissibilityError("chi")
+    return monomial(1, 0, 0, l2 + HALF, l0 + HALF)
+
+
+def hand_ground_beta(l1: Fraction, l2: Fraction) -> FunExpr:
+    if not l2 - l1 < -1 or l1 > HALF:
+        raise AdmissibilityError("beta")
+    return monomial(1, 0, 0, l2 + HALF, -l1 + HALF)
+
+
+def hand_ground_full(l0: Fraction, l2: Fraction) -> LabeledState:
+    if l0 < -HALF or not l0 + l2 < Fraction(-5, 2):
+        raise AdmissibilityError("vertex")
+    return LabeledState(ParamPoint(l0, Fraction(0), l2),
+                        monomial(1, l0 + HALF, HALF, l2 + HALF, l0 + 1))
+
+
+def hand_vertex_energy(l0: Fraction, l2: Fraction) -> Fraction:
+    s = l0 + l2
+    return -(s + Fraction(3, 2)) * (s + Fraction(5, 2))
+
+
+_HAND_STATES = {ground_theta: hand_ground_theta, ground_chi: hand_ground_chi,
+                ground_beta: hand_ground_beta, ground_full: hand_ground_full,
+                vertex_energy: hand_vertex_energy}
+QUARTER_LABELS = [(Fraction(a, 4), Fraction(b, 4))
+                  for a in range(-12, 13) for b in range(-12, 13)]
+
+
+def _outcome(build: Callable, x: Fraction, y: Fraction):
+    """The built value, or AdmissibilityError when the labels are rejected."""
+    try:
+        return build(x, y)
+    except AdmissibilityError:
+        return AdmissibilityError
+
+
 # --- strategies -----------------------------------------------------------
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
@@ -267,3 +319,22 @@ def test_unknown_family_and_reflection_entry_are_rejected():
         reflect(3, O.A_PLUS)
     with pytest.raises(ValueError):
         reflect(-1, O.A_PLUS)
+
+
+@pytest.mark.parametrize("derived", list(_HAND_STATES), ids=lambda f: f.__name__)
+def test_fundamental_states_match_hand_forms(derived):
+    got = [_outcome(derived, x, y) for x, y in QUARTER_LABELS]
+    assert got == [_outcome(_HAND_STATES[derived], x, y) for x, y in QUARTER_LABELS]
+    assert any(g is not AdmissibilityError for g in got)
+
+
+@pytest.mark.parametrize("family, ground", [("A", ground_theta), ("B", ground_chi),
+                                            ("C", ground_beta)])
+def test_ground_state_is_the_kernel_of_the_lowering_intertwiner(family, ground):
+    kept = 0
+    for x, y in QUARTER_LABELS:
+        f = _outcome(ground, x, y)
+        if f is not AdmissibilityError:
+            assert separated_ladder(family, -1, (x, y))(f).is_zero, (x, y)
+            kept += 1
+    assert kept

@@ -143,6 +143,16 @@ class TestSeparated:
         with pytest.raises(VariableMismatchError):
             apply_separated("chi", monomial(1, 1, 0, 1, 0), (0, -3))
 
+    def test_variable_mismatch_names_the_first_term_in_term_order(self):
+        a, b = monomial(1, 0, 0, 1, 0), monomial(1, "1/2", 0, 0, "1/3")
+        assert a + b == b + a
+        messages = set()
+        for f in (a + b, b + a):
+            with pytest.raises(VariableMismatchError) as exc:
+                apply_separated("theta", f, (0, 0))
+            messages.add(str(exc.value))
+        assert messages == {"theta operator expects a theta-only expression, got 1*cosh^1"}
+
 
 class TestCommutator:
     def test_su2_diagonal_bracket(self):

@@ -36,11 +36,11 @@ class TestGroundStates:
         assert ground_chi(0, -3) == monomial(1, 0, 0, "-5/2", "1/2")
 
     def test_ground_chi_rejects(self):
-        with pytest.raises(AdmissibilityError, match="l0\\+l2"):
+        with pytest.raises(AdmissibilityError, match="chi ground state needs .*r\\+s < 0"):
             ground_chi(0, -1)
 
     def test_ground_beta_rejects_boundary(self):
-        with pytest.raises(AdmissibilityError, match="l2-l1"):
+        with pytest.raises(AdmissibilityError, match="beta ground state needs .*r\\+s < 0"):
             ground_beta(1, 0)
 
     def test_ground_theta_rejects(self):

@@ -9,9 +9,10 @@ Each command runs in-process through ``ladderspec.cli.main``.  A line holds
 the sha256 of its stdout, the sha256 of its stderr, its exit code and its
 argv.  The commands are the golden cases of ``tests/test_golden.py``, more
 ``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures and at the
-spectrum-sweep anchor (2, 2, -12), the lattices, three states (one deep
+spectrum-sweep anchor (2, 2, -12), the lattices, five states (one deep
 enough to print a normalization, one at a vertex that the E < 0 cut
-rejects), a sample, ``crosscheck`` (at one label each binding channel
+rejects, one that the Friedrichs rule rejects and one at its boundary), a
+sample, ``crosscheck`` (at one label each binding channel
 has a level at the threshold E = 0), and labels with negative entries next
 to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
 """
@@ -50,6 +51,10 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     ["state", "--l0=0", "--l2=-15", "--word", "C+,C+,C+,C+"],
     # a normalizable vertex with E = 3/16 >= 0, which the E < 0 cut rejects
     ["state", "--l0=0", "--l2=-9/4"],
+    # a vertex whose theta ground state the Friedrichs rule rejects, and one
+    # at the rule's boundary l0 = -1/2
+    ["state", "--l0=-1", "--l2=-5"],
+    ["state", "--l0=-1/2", "--l2=-5"],
     ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
     ["crosscheck"] + label("0", "0", "-5"),
     ["crosscheck"] + label("1", "0", "-9"),
