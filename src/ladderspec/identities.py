@@ -4,6 +4,23 @@ Every identity is checked structurally: the residual expression must
 normalize to the empty sum.  Probes are random rational-labeled monomial
 states drawn from a seeded generator, so a report is reproducible from
 (seed, probes).
+
+The 36 su(2,1) brackets of `BRACKET_TABLE` are derived from the family
+table and the label shifts of `operators`; only their order is written
+here.  The shift of [x, y] is the sum of the two shifts, so:
+
+- for a diagonal generator x (21 rows) the constant of [x, y] = c y is the
+  diagonal eigenvalue of x at the shift of y, as that eigenvalue is linear
+  in the label, and 0 for two diagonals.  These rows restate what
+  `diag_eigenvalue` and `SHIFTS` fix, so no realization of y can fail them;
+- [X-, X+] = -2 eps X, with eps from the family row;
+- two ladders of different families give c z, with z the generator whose
+  shift is the sum, or 0 when no generator has it.  The six signs c = +-1
+  of the nonzero ones are the only structure constants written by hand
+  (`_CROSS`); a pair whose summed shift is a ladder shift but which has no
+  sign there fails at import.
+
+A row's name is its right-hand side written out, as in `[A,B+] = B+/2`.
 """
 
 from __future__ import annotations
@@ -15,7 +32,7 @@ from typing import Callable, Iterable
 
 from . import operators as ops
 from .algebra import FunExpr, Monomial, monomial
-from .operators import (HALF, LabeledState, OperatorName as O, ParamPoint,
+from .operators import (LabeledState, OperatorName as O, ParamPoint,
                         apply, apply_hamiltonian, apply_separated,
                         diag_eigenvalue, hamiltonian_from_casimir,
                         separated_eigenvalue, separated_ladder,
@@ -26,46 +43,41 @@ ApplyFn = Callable[[O, LabeledState], LabeledState]
 MAX_PROBE_TERMS = 3  # random_expr draws 1..MAX_PROBE_TERMS monomials
 
 
-def _family_rows(name: str, eps: int) -> list[tuple]:
-    """[X-,X+] = -2 eps X, [X,X+] = X+ and [X,X-] = -X- for one family."""
-    up, dn = name + "+", name + "-"
-    return [(f"[{dn},{up}] = {-2 * eps}{name}", dn, up, [(-2 * eps, name)]),
-            (f"[{name},{up}] = {up}", name, up, [(1, O(up))]),
-            (f"[{name},{dn}] = -{dn}", name, dn, [(-1, O(dn))])]
+# The 36 unordered pairs of the nine su(2,1) generators as [x,y], in report
+# order; a diagonal generator is named by its family letter and comes first.
+_PAIRS = ("A-,A+ A,A+ A,A- B-,B+ B,B+ B,B- C-,C+ C,C+ C,C- A+,B+ A-,B- A+,B- A-,B+ "
+          "C+,B+ C-,B- C+,A+ C-,A- C+,B- C-,B+ C+,A- C-,A+ A,B+ A,B- B,A+ B,A- C,B+ "
+          "C,B- C,A+ C,A- A,C- A,C+ B,C- B,C+ A,B A,C B,C")
+# [x,y] = c z for the cross-family ladder pairs whose shifts add up to the
+# shift z of a ladder generator: the signs c that nothing else fixes
+_CROSS = {("A+", "B-"): -1, ("A-", "B+"): 1, ("C+", "A+"): -1,
+          ("C-", "A-"): 1, ("C+", "B-"): -1, ("C-", "B+"): 1}
 
 
-# [x, y] = rhs; diagonal generators appear by family letter, rhs terms are
-# (constant, generator).
-BRACKET_TABLE = [row for name, fam in ops._FAMILIES.items()
-                 for row in _family_rows(name, fam.eps)] + [
-    ("[A+,B+] = 0", "A+", "B+", []),
-    ("[A-,B-] = 0", "A-", "B-", []),
-    ("[A+,B-] = -C-", "A+", "B-", [(-1, O.C_MINUS)]),
-    ("[A-,B+] = C+", "A-", "B+", [(1, O.C_PLUS)]),
-    ("[C+,B+] = 0", "C+", "B+", []),
-    ("[C-,B-] = 0", "C-", "B-", []),
-    ("[C+,A+] = -B+", "C+", "A+", [(-1, O.B_PLUS)]),
-    ("[C-,A-] = B-", "C-", "A-", [(1, O.B_MINUS)]),
-    ("[C+,B-] = -A-", "C+", "B-", [(-1, O.A_MINUS)]),
-    ("[C-,B+] = A+", "C-", "B+", [(1, O.A_PLUS)]),
-    ("[C+,A-] = 0", "C+", "A-", []),
-    ("[C-,A+] = 0", "C-", "A+", []),
-    ("[A,B+] = B+/2", "A", "B+", [(HALF, O.B_PLUS)]),
-    ("[A,B-] = -B-/2", "A", "B-", [(-HALF, O.B_MINUS)]),
-    ("[B,A+] = A+/2", "B", "A+", [(HALF, O.A_PLUS)]),
-    ("[B,A-] = -A-/2", "B", "A-", [(-HALF, O.A_MINUS)]),
-    ("[C,B+] = B+/2", "C", "B+", [(HALF, O.B_PLUS)]),
-    ("[C,B-] = -B-/2", "C", "B-", [(-HALF, O.B_MINUS)]),
-    ("[C,A+] = -A+/2", "C", "A+", [(-HALF, O.A_PLUS)]),
-    ("[C,A-] = A-/2", "C", "A-", [(HALF, O.A_MINUS)]),
-    ("[A,C-] = C-/2", "A", "C-", [(HALF, O.C_MINUS)]),
-    ("[A,C+] = -C+/2", "A", "C+", [(-HALF, O.C_PLUS)]),
-    ("[B,C-] = -C-/2", "B", "C-", [(-HALF, O.C_MINUS)]),
-    ("[B,C+] = C+/2", "B", "C+", [(HALF, O.C_PLUS)]),
-    ("[A,B] = 0", "A", "B", []),
-    ("[A,C] = 0", "A", "C", []),
-    ("[B,C] = 0", "B", "C", []),
-]
+def _name(x: str, y: str, c: Fraction, z: str) -> str:
+    """The row name [x,y] = c z, written as 0, -C-, B+/2 or -2A."""
+    if c == 0:
+        return f"[{x},{y}] = 0"
+    mag = abs(Fraction(c))
+    num = "" if mag.numerator == 1 else mag.numerator
+    den = "" if mag.denominator == 1 else f"/{mag.denominator}"
+    return f"[{x},{y}] = {'-' if c < 0 else ''}{num}{z}{den}"
+
+
+def _row(x: str, y: str) -> tuple:
+    """The entry (name, x, y, rhs) of [x, y], derived as the module says."""
+    if x in ops._FAMILIES:
+        c, z = diag_eigenvalue(x, ParamPoint.of(*ops.SHIFTS.get(y, (0, 0, 0)))), y
+    elif x[0] == y[0]:
+        c, z = -2 * ops._FAMILIES[x[0]].eps * ops._GENERATORS[y][1], x[0]
+    else:
+        z = ops._BY_SHIFT.get(tuple(map(sum, zip(ops.SHIFTS[x], ops.SHIFTS[y]))))
+        c = 0 if z is None else _CROSS[x, y]
+    return _name(x, y, c, z), x, y, [(c, z)] if c else []
+
+
+# [x, y] = rhs, with rhs terms (constant, generator)
+BRACKET_TABLE = [_row(*pair.split(",")) for pair in _PAIRS.split()]
 
 
 def random_label(rng: random.Random) -> ParamPoint:

@@ -36,10 +36,15 @@ class ParameterError(ValueError):
     """Solver parameters outside the admissible range."""
 
 
-def _to_float(x) -> float:
-    v = float(x) if isinstance(x, float) else float(Fraction(x))
+def _to_float(x, what: str = "labels") -> float:
+    """x as a float; a non-finite x, or one beyond the float range, is a
+    ParameterError that names it."""
+    try:
+        v = float(x) if isinstance(x, float) else float(Fraction(x))
+    except OverflowError:
+        v = math.inf
     if not math.isfinite(v):
-        raise ParameterError(f"labels must be finite, got {v}")
+        raise ParameterError(f"{what} must be finite and in the float range, got {x}")
     return v
 
 
@@ -231,9 +236,9 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
     that many, once, and not called at all on a channel that binds none.
     """
     L2 = _to_float(l2)
-    a = float(alpha)
-    if not 0 < a < math.inf:
-        raise ParameterError(f"separation constant alpha must be positive and finite, got {a}")
+    a = _to_float(alpha, "separation constant alpha")
+    if a <= 0:
+        raise ParameterError(f"separation constant alpha must be positive, got {a}")
     if grid.variable != "xi":
         raise ParameterError("solve_xi needs a xi grid")
     x = grid.nodes()

@@ -159,6 +159,13 @@ class TestState:
                              "--word", "Q+")
         assert code == 2
 
+    def test_zero_state_has_no_eigenvalue_or_normalization(self, capsys):
+        code, out, _ = run_cli(capsys, "state", "--l0=1", "--l2=-4", "--word", "A-")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["terms"] == [] and doc["zero"] is True
+        assert "eigenvalue" not in doc and "normalization" not in doc
+
 
 class TestVerify:
     def test_passes_and_deterministic(self, capsys):

@@ -5,13 +5,32 @@ import re
 import pytest
 
 from ladderspec import LabeledState, OperatorName, apply, run_suite
-from ladderspec.identities import BRACKET_TABLE, bracket_residual, random_state
+from ladderspec.identities import _CROSS, BRACKET_TABLE, bracket_residual, random_state
+from ladderspec.operators import _BY_SHIFT, SHIFTS
 
 O = OperatorName
 
 
 def test_bracket_table_has_36_entries():
     assert len(BRACKET_TABLE) == 36
+
+
+SU21 = ("A", "B", "C", "A+", "A-", "B+", "B-", "C+", "C-")
+
+
+def test_bracket_rows_are_the_unordered_pairs_of_su21():
+    pairs = [frozenset((x, y)) for _, x, y, _ in BRACKET_TABLE]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == {frozenset((x, y)) for i, x in enumerate(SU21) for y in SU21[i + 1:]}
+
+
+def test_cross_constants_are_the_pairs_whose_shifts_add_to_a_ladder_shift():
+    # cross-family ladder pairs, in the table's orientation
+    cross = [(x, y) for _, x, y, _ in BRACKET_TABLE
+             if len(x) == len(y) == 2 and x[0] != y[0]]
+    assert len(cross) == 12
+    assert set(_CROSS) == {(x, y) for x, y in cross
+                           if tuple(map(sum, zip(SHIFTS[x], SHIFTS[y]))) in _BY_SHIFT}
 
 
 def test_full_suite_passes():

@@ -262,6 +262,14 @@ class TestSolveTheta:
         with pytest.raises(ParameterError, match="finite"):
             solve_theta(l0, 0, GridSpec("theta", 200))
 
+    def test_label_beyond_the_float_range_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="labels must be finite .*got 10{400}$"):
+            solve_theta(Fraction(10**400), 0, GridSpec("theta", 20))
+
+    def test_rejects_a_xi_grid(self):
+        with pytest.raises(ParameterError, match="needs a theta grid"):
+            solve_theta(0, 0, GridSpec("xi", 20))
+
     def test_residual_invariant(self):
         r = solve_theta("1/2", "3/2", GridSpec("theta", 500))
         for ev, res in zip(r.eigenvalues, r.residual_norms):
@@ -314,6 +322,14 @@ class TestSolveXi:
     def test_non_finite_input_is_a_parameter_error(self, l2, alpha):
         with pytest.raises(ParameterError, match="finite"):
             solve_xi(l2, alpha, GridSpec("xi", 200))
+
+    def test_alpha_beyond_the_float_range_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="alpha must be finite .*got 10{400}$"):
+            solve_xi(-5, 10**400, GridSpec("xi", 40))
+
+    def test_rejects_a_theta_grid(self):
+        with pytest.raises(ParameterError, match="needs a xi grid"):
+            solve_xi(-5, 9.0, GridSpec("theta", 20))
 
     def test_empty_channel_makes_no_arpack_call(self, monkeypatch):
         import scipy.sparse.linalg as spla

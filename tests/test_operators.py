@@ -143,6 +143,10 @@ class TestSeparated:
         with pytest.raises(VariableMismatchError):
             apply_separated("chi", monomial(1, 1, 0, 1, 0), (0, -3))
 
+    def test_unknown_separated_hamiltonian(self):
+        with pytest.raises(ValueError, match="unknown separated Hamiltonian 'gamma'"):
+            apply_separated("gamma", monomial(1, 1, 0, 0, 0), (0, 0))
+
     def test_variable_mismatch_names_the_first_term_in_term_order(self):
         a, b = monomial(1, 0, 0, 1, 0), monomial(1, "1/2", 0, 0, "1/3")
         assert a + b == b + a

@@ -112,6 +112,14 @@ class TestLattice:
         with pytest.raises(AdmissibilityError):
             enumerate_lattice(ParamPoint.of(0, 0, -2), "su21", 2)
 
+    def test_unknown_algebra(self):
+        with pytest.raises(ValueError, match="unknown algebra 'su3'"):
+            enumerate_lattice(ParamPoint.of(0, 0, -5), "su3", 1)
+
+    def test_vertex_off_the_l1_zero_plane(self):
+        with pytest.raises(AdmissibilityError, match="vertices carry l1 = 0"):
+            enumerate_lattice(ParamPoint.of(0, 1, -5), "su21", 1)
+
 
 class TestStatesAt:
     def test_degenerate_pair(self):

@@ -8,12 +8,13 @@ Run from the repository root, once against each tree, and diff the two:
 Each command runs in-process through ``ladderspec.cli.main``.  A line holds
 the sha256 of its stdout, the sha256 of its stderr, its exit code and its
 argv.  The commands are the golden cases of ``tests/test_golden.py``, more
-``verify`` seeds, ``spectrum`` at the labels the ROADMAP measures and at the
-spectrum-sweep anchor (2, 2, -12), the lattices, five states (one deep
-enough to print a normalization, one at a vertex that the E < 0 cut
-rejects, one that the Friedrichs rule rejects and one at its boundary), a
-sample, ``crosscheck`` (at one label each binding channel
-has a level at the threshold E = 0), and labels with negative entries next
+``verify`` seeds and plain ``verify``, ``spectrum`` at the labels the
+ROADMAP measures and at the spectrum-sweep anchor (2, 2, -12), the
+lattices, six states (one deep enough to print a normalization, one at a
+vertex that the E < 0 cut rejects, one that the Friedrichs rule rejects,
+one at its boundary and one that its word maps to zero), a sample,
+``crosscheck`` (at one label each binding channel has a level at the
+threshold E = 0), and labels with negative entries next
 to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
 """
 
@@ -40,6 +41,7 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
 ] + [
     ["spectrum"] + label("0", "0", l2) for l2 in ("-5", "-15", "-17", "-19", "-21")
 ] + [
+    ["verify"],  # the default seed and probes
     ["spectrum"] + label("1", "2", "-12"),
     ["spectrum"] + label("2", "2", "-12"),
     ["lattice", "--l0=0", "--l2=-3", "--algebra", "so42", "--depth", "3"],
@@ -55,6 +57,8 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     # at the rule's boundary l0 = -1/2
     ["state", "--l0=-1", "--l2=-5"],
     ["state", "--l0=-1/2", "--l2=-5"],
+    # a word that maps the vertex to zero: no eigenvalue or normalization
+    ["state", "--l0=1", "--l2=-4", "--word", "A-"],
     ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
     ["crosscheck"] + label("0", "0", "-5"),
     ["crosscheck"] + label("1", "0", "-9"),
