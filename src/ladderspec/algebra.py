@@ -39,9 +39,11 @@ allows operator identities to be verified as literally empty residuals.
 The term order is stated once, in `_class_terms`: (class, offsets,
 coefficient) triples, lexicographic on (p, q, r, s).  The Fraction view
 `FunExpr.terms` is built from it and serves printing and input; the engine
-reads only `classes`.  The convergence checks (`_divergence`) and
-evaluation (`_term_factors`) read the classes too, and name the first
-offending term in that order.  Evaluation raises `DomainError` for a
+reads only `classes`.  Every error about a term names the first offending
+term in that order, found by the one search `_first_term`, which sorts only
+after an unsorted pass has found a hit: the convergence checks
+(`_divergence`), evaluation (`_term_factors`) and the variable check of
+operators.py's 1D operators.  Evaluation raises `DomainError` for a
 negative offset on a zero base (sin at theta = 0, cos at pi/2, sinh at
 xi = 0) and writes cosh^r sinh^s as cosh^(r+s) tanh^s, so a decaying term
 underflows to 0 where cosh overflows.  `integral` has one row path: the
@@ -172,6 +174,15 @@ def _class_terms(classes: Classes) -> list[Term]:
             keyed.append(((P, fp, Q, fq, R, fr, S, fs), cls, offs, c))
     keyed.sort()
     return [t[1:] for t in keyed]
+
+
+def _first_term(f: FunExpr, bad: Callable[[ResidueClass, Offsets], bool]) -> Monomial | None:
+    """The first term of f in the order of `_class_terms` for which
+    bad(class, offsets) holds, or None.  The classes are sorted only after
+    an unsorted scan finds a hit, so a clean f costs one pass."""
+    if any(bad(cls, offs) for cls, row in f.classes.items() for offs in row):
+        return next(_monomial(*t) for t in _class_terms(f.classes) if bad(t[0], t[1]))
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -461,13 +472,12 @@ _WALLS = ((1, "sin", "q", -1), (0, "cos", "p", -1), (3, "sinh", "s", -2))
 def _term_factors(f: FunExpr, ct, st, th, lc, zero: tuple, exp: Callable):
     """(c, theta factor, xi factor) per term from ct, st, th = cos, sin, tanh
     and lc = log cosh, all floats or all arrays; a negative offset on a wall
-    whose base is 0 somewhere (`zero`) raises.  cosh^(r+s) = exp((r+s) lc)."""
+    whose base is 0 somewhere (`zero`) raises, naming the first such term of
+    the first such wall in `_WALLS` order.  cosh^(r+s) = exp((r+s) lc)."""
     for hit, (i, name, sym, _) in zip(zero, _WALLS):
-        for cls, offs, c in _class_terms(f.classes) if hit else ():
-            if offs[i] < 0:
-                m = _monomial(cls, offs, c)
-                raise DomainError(f"negative exponent {sym}={m.key[i]} "
-                                  f"where {name} is 0, in term {m}")
+        m = _first_term(f, lambda cls, offs: offs[i] < 0) if hit else None
+        if m:
+            raise DomainError(f"negative exponent {sym}={m.key[i]} where {name} is 0, in term {m}")
     for cls, row in f.classes.items():
         pn, pd, qn, qd, rn, rd, sn, sd = cls
         trig, hyp, rs = ct ** (pn / pd) * st ** (qn / qd), th ** (sn / sd), rn / rd + sn / sd
@@ -554,21 +564,6 @@ def _growth_profiles(f: FunExpr, k: int) -> dict[Fraction, Classes]:
     return slots
 
 
-def _wall(rows: Iterable[tuple[ResidueClass, dict[Offsets, Fraction]]], k: int) -> str | None:
-    """Why int f^k diverges at a wall (`_WALLS`), naming the first term of
-    `rows` (class, {offsets: coefficient}) whose exponent there is at most
-    bound/k, or None."""
-    for cls, row in rows:
-        for offs, c in row.items():
-            for i, name, sym, bound in _WALLS:
-                d = cls[2 * i + 1]
-                if k * (cls[2 * i] + 2 * d * offs[i]) <= bound * d:
-                    m = _monomial(cls, offs, c)
-                    return (f"{name} exponent {sym}={m.key[i]} <= "
-                            f"{Fraction(bound, k)} in term {m}")
-    return None
-
-
 def _divergence(f: FunExpr, k: int) -> str | None:
     """Why int f^k sinh(xi) dtheta dxi over the quadrant diverges, or None.
 
@@ -577,11 +572,16 @@ def _divergence(f: FunExpr, k: int) -> str | None:
     n/d + 2K must exceed bound/k.  The large-xi growth is decided on the
     exact slot profiles, which is immune to cancelling growth between terms
     of the normal form.  A wall message names the first offending term in
-    the term order, so equal functions give equal messages; the classes are
-    sorted only after a hit, since `is_normalizable` checks every walk image.
+    the term order (`_first_term`, one unsorted pass on a clean f, since
+    `is_normalizable` checks every walk image) and its first wall in
+    `_WALLS` order, so equal functions give equal messages.
     """
-    if _wall(f.classes.items(), k):
-        return _wall(((cls, {offs: c}) for cls, offs, c in _class_terms(f.classes)), k)
+    m = _first_term(f, lambda cls, offs: any(
+        k * (cls[2 * i] + 2 * cls[2 * i + 1] * offs[i]) <= bound * cls[2 * i + 1]
+        for i, _, _, bound in _WALLS))
+    if m:
+        i, name, sym, bound = next(w for w in _WALLS if k * m.key[w[0]] <= w[3])
+        return f"{name} exponent {sym}={m.key[i]} <= {Fraction(bound, k)} in term {m}"
     slots = _growth_profiles(f, k)
     for gamma in sorted(slots, reverse=True):
         profile = FunExpr._pruned(slots[gamma])

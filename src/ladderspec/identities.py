@@ -192,8 +192,7 @@ def run_suite(seed: int = 0, probes: int = 5,
         return _detail(hamiltonian_from_casimir(st) - apply_hamiltonian(st), f" at {st.label}")
 
     def cprime_shift(op: O) -> str:
-        d = ops.SHIFTS[op]
-        dc = d[1] + d[2] - d[0]
+        dc = ops.cprime(ParamPoint.of(*ops.SHIFTS[op]))
         tilde = ops._GENERATORS[op][2] is not None
         bad = (not tilde and dc != 0) or (tilde and abs(dc) != 2)
         return f"{op.value} shifts Cprime by {dc}" if bad else ""

@@ -37,12 +37,14 @@ class ParameterError(ValueError):
 
 
 def _to_float(x, what: str = "labels") -> float:
-    """x as a float; a non-finite x, or one beyond the float range, is a
-    ParameterError that names it."""
+    """x as a float; a string that is no exact rational, a non-finite x, or
+    one beyond the float range, is a ParameterError that names it."""
     try:
         v = float(x) if isinstance(x, float) else float(Fraction(x))
     except OverflowError:
         v = math.inf
+    except (ValueError, ZeroDivisionError):  # "nan", "abc", "1/0"
+        raise ParameterError(f"{what} must be exact rationals or floats, got {x!r}") from None
     if not math.isfinite(v):
         raise ParameterError(f"{what} must be finite and in the float range, got {x}")
     return v

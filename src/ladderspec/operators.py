@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _class_terms, _linear,
-                      _monomial, _rules, d_theta, d_xi, rational)
+from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _first_term, _linear,
+                      _rules, d_theta, d_xi, rational)
 
 HALF = Fraction(1, 2)
 
@@ -265,18 +265,13 @@ def apply_hamiltonian(st: LabeledState) -> FunExpr:
 
 
 def _require_pair(f: FunExpr, hyperbolic: bool, which: str) -> None:
-    """Raise unless f lives in the operator's variables, naming the first
-    offending term in the term order; the classes are sorted only after a hit."""
+    """Raise unless f lives in the variables of the 1D operator `which`,
+    naming its first offending term (`algebra._first_term`)."""
     kind = "a hyperbolic-variable" if hyperbolic else "a theta-only"
-    absent = (0, 1) if hyperbolic else (2, 3)  # exponent slots that must be 0
-
-    def foreign(cls: tuple, offs: tuple) -> bool:
-        return any(cls[2 * i] or offs[i] for i in absent)
-
-    if any(foreign(cls, offs) for cls, row in f.classes.items() for offs in row):
-        bad = next(t for t in _class_terms(f.classes) if foreign(t[0], t[1]))
-        raise VariableMismatchError(f"{which} operator expects {kind} "
-                                    f"expression, got {_monomial(*bad)}")
+    a, b = (0, 1) if hyperbolic else (2, 3)  # exponent slots that must be 0
+    bad = _first_term(f, lambda cls, offs: cls[2 * a] or offs[a] or cls[2 * b] or offs[b])
+    if bad:
+        raise VariableMismatchError(f"{which} operator expects {kind} expression, got {bad}")
 
 
 def apply_separated(which: str, f: FunExpr,
@@ -308,11 +303,18 @@ def separated_ladder(family: str, sign: int,
     family 'A', indices (a, b): +-d_theta - (a+1/2) tan + (b+1/2) cot
     family 'B', indices (a, c): +-d_chi  + (c+1/2) tanh + (a+1/2) coth
     family 'C', indices (b, c): +-d_beta + (c+1/2) tanh + (-b+1/2) coth
+
+    The returned map takes an expression in the family's variable only, as
+    `apply_separated` does, and raises `VariableMismatchError` otherwise.
     """
     fam = _family(family)
     rules = _rules(fam.deriv_1d, sign) \
         + _times(fam.coeffs(rational(params[0]), rational(params[1])), fam.mults_1d)
-    return lambda f: _linear((f, rules))
+
+    def ladder(f: FunExpr) -> FunExpr:
+        _require_pair(f, fam.deriv_1d is D_XI, fam.separated)
+        return _linear((f, rules))
+    return ladder
 
 
 def separated_eigenvalue(family: str,

@@ -10,7 +10,7 @@ import pytest
 from ladderspec import (DivergenceError, DomainError, FunExpr, d_theta, d_xi, eval_at,
                         eval_grid, ground_full, inner, integral, is_normalizable,
                         monomial, norm_squared, normalize)
-from ladderspec.algebra import Monomial, rational
+from ladderspec.algebra import Monomial, _first_term, rational
 
 from conftest import quadrature_oracle
 
@@ -172,6 +172,32 @@ class TestEval:
         with pytest.raises(DomainError, match="negative exponent " + message):
             eval_grid(f, np.array([0.3, theta]), np.array([1.0, xi]))
 
+    def test_wall_message_names_the_first_term_in_the_term_order(self):
+        # both terms have sin^(-1/2 - 2k); a + b and b + a list their
+        # classes in opposite orders, and every message names a, which
+        # comes first in (p, q, r, s)
+        a, b = monomial(1, 0, "-1/2"), monomial(2, 1, "-5/2")
+        assert list((a + b).classes) != list((b + a).classes)
+        messages = set()
+        for f in (a + b, b + a):
+            for evaluate in (lambda: eval_at(f, 0.0, 1.0),
+                             lambda: eval_grid(f, np.array([0.0, 0.3]), np.array([1.0]))):
+                with pytest.raises(DomainError) as exc:
+                    evaluate()
+                messages.add(str(exc.value))
+        assert messages == {"negative exponent q=-1/2 where sin is 0, in term 1*sin^(-1/2)"}
+
+    def test_wall_message_names_the_first_wall(self):
+        # the sinh term comes first in the term order, but the sin wall
+        # comes first in the walls' order
+        f = monomial(1, 0, 0, 0, "-1/2") + monomial(1, 1, "-1/2")
+        message = "negative exponent q=-1/2 where sin is 0, in term 1*cos^1*sin^(-1/2)"
+        for evaluate in (lambda: eval_at(f, 0.0, 0.0),
+                         lambda: eval_grid(f, np.array([0.0, 0.3]), np.array([0.0, 1.0]))):
+            with pytest.raises(DomainError) as exc:
+                evaluate()
+            assert str(exc.value) == message
+
     def test_grid_of_zero_is_zero(self):
         ths, xis = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 5.0, 4)
         grid = eval_grid(FunExpr(), ths, xis)
@@ -262,6 +288,18 @@ class TestInner:
         # each wall exactly at its bound: sin at theta = 0, cos at pi/2, sinh at xi = 0
         with pytest.raises(DivergenceError, match=message):
             integral(f)
+
+    def test_first_term_is_the_first_offender_in_the_term_order(self):
+        a, b = monomial(1, 0, "-1/2"), monomial(2, 1, "-5/2")
+        for f in (a + b, b + a):
+            assert _first_term(f, lambda cls, offs: offs[1] < 0) == a.terms[0]
+            assert _first_term(f, lambda cls, offs: offs[0] > 0) is None
+        # the first offending term first, then its first wall in the walls' order
+        t1, t2 = monomial(1, 0, 0, 0, -2), monomial(1, 1, -1, 0, -2)
+        with pytest.raises(DivergenceError, match=r"^sinh exponent s=-2 <= -2 in term 1\*sinh"):
+            integral(t2 + t1)
+        with pytest.raises(DivergenceError, match=r"^sin exponent q=-1 <= -1 in term 1\*cos"):
+            integral(t2)
 
     def test_agrees_with_quadrature(self, rng):
         for _ in range(20):

@@ -266,6 +266,11 @@ class TestSolveTheta:
         with pytest.raises(ParameterError, match="labels must be finite .*got 10{400}$"):
             solve_theta(Fraction(10**400), 0, GridSpec("theta", 20))
 
+    @pytest.mark.parametrize("l0", ["nan", "abc", "1/0"])
+    def test_label_string_that_is_no_rational_is_a_parameter_error(self, l0):
+        with pytest.raises(ParameterError, match=f"labels must be .*got '{l0}'$"):
+            solve_theta(l0, 0, GridSpec("theta", 20))
+
     def test_rejects_a_xi_grid(self):
         with pytest.raises(ParameterError, match="needs a theta grid"):
             solve_theta(0, 0, GridSpec("xi", 20))

@@ -157,6 +157,21 @@ class TestSeparated:
             messages.add(str(exc.value))
         assert messages == {"theta operator expects a theta-only expression, got 1*cosh^1"}
 
+    @pytest.mark.parametrize("family, f, message", [
+        ("A", monomial(1, 1, 0, 0, 1), "theta operator expects a theta-only expression, "
+                                       "got 1*cos^1*sinh^1"),
+        ("B", monomial(1, 1, 0, 0, 1), "chi operator expects a hyperbolic-variable "
+                                       "expression, got 1*cos^1*sinh^1"),
+        ("C", monomial(1, 0, 1), "beta operator expects a hyperbolic-variable "
+                                 "expression, got 1*sin^1"),
+    ], ids=["A", "B", "C"])
+    def test_ladder_rejects_the_wrong_variables(self, family, f, message):
+        # as apply_separated does, under the name of the family's factor Hamiltonian
+        for sign in (+1, -1):
+            with pytest.raises(VariableMismatchError) as exc:
+                separated_ladder(family, sign, (0, 0))(f)
+            assert str(exc.value) == message
+
 
 class TestCommutator:
     def test_su2_diagonal_bracket(self):
