@@ -53,13 +53,15 @@ for i, argv in enumerate(COMMANDS):
 print('sample', ladderspec.cli.main(['sample', '--l2=-5', '--grid=2',
                                     '--out', OUT + '/sample.csv']))
 from ladderspec import GridSpec, solve_xi, ParameterError
+print('numeric', loaded())
 print('missing', [n for n in EXPORTS if not hasattr(ladderspec, n)])
 """
 
 
 class TestStartup:
     def test_import_and_parser_skip_scipy(self, tmp_path):
-        # numpy and scipy load in sample, crosscheck and the numeric layer only
+        # numpy and scipy load in sample, crosscheck and the numeric layer only;
+        # scipy only once a solver runs, as every benchmark worker imports numeric
         src = os.path.dirname(os.path.dirname(os.path.abspath(ladderspec.__file__)))
         code = (f"COMMANDS = {EXACT_COMMANDS!r}\nOUT = {str(tmp_path)!r}\n"
                 f"EXPORTS = {EXPORTS!r}\n" + STARTUP_PROBE)
@@ -68,7 +70,7 @@ class TestStartup:
                              capture_output=True, text=True, timeout=120).stdout
         assert out.splitlines() == [
             "import ladderspec []", "build_parser []", "spectrum 0 []", "state 0 []",
-            "verify 0 []", "lattice 0 []", "sample 0", "missing []"]
+            "verify 0 []", "lattice 0 []", "sample 0", "numeric ['numpy']", "missing []"]
         for i in range(len(EXACT_COMMANDS)):
             assert (tmp_path / f"{i}.out").read_text(encoding="utf-8")
         assert len((tmp_path / "sample.csv").read_text(encoding="utf-8").splitlines()) == 5
@@ -345,6 +347,11 @@ class TestCrosscheck:
         assert [(lv["energy"], lv["numeric_multiplicity"]) for lv in doc["levels"]] \
             == [("-99/4", 1), ("-35/4", 2), ("-3/4", 3)]
 
+    def test_deep_target_passes_on_the_default_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "crosscheck", "--l0=0", "--l1=0", "--l2=-15")
+        assert code == 0
+        assert json.loads(out)["max_abs_diff"] <= 1e-3
+
     @pytest.mark.parametrize("signed, branch", [
         (("-1", "0", "-9"), ("1", "0", "-9")),
         (("-2", "0", "-9"), ("2", "0", "-9")),
@@ -370,9 +377,9 @@ class TestCrosscheck:
         assert "cutoff" in err and cutoff in err
 
     def test_unmatched_level_is_strict_json_null(self, capsys):
-        # 48 points bind no level near -15/4; the output must still be strict JSON
+        # 16 cells bind no level near -15/4; the output must still be strict JSON
         code, out, _ = run_cli(capsys, "crosscheck", "--l0", "1", "--l1", "1",
-                               "--l2", "-6", "--grid", "48")
+                               "--l2", "-6", "--grid", "16")
         assert code == 1
 
         def reject(token):

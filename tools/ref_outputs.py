@@ -14,7 +14,8 @@ lattices, six states (one deep enough to print a normalization, one at a
 vertex that the E < 0 cut rejects, one that the Friedrichs rule rejects,
 one at its boundary and one that its word maps to zero), two samples (one
 of a state that diverges at a wall), ``crosscheck`` (at one label each
-binding channel has a level at the threshold E = 0), and labels with
+binding channel has a level at the threshold E = 0, at the deep label
+(0, 0, -19) and on a coarse grid), and labels with
 negative entries next to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
 """
 
@@ -83,6 +84,9 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     ["crosscheck"] + label("2", "0", "-9"),
     # each of its three binding xi channels has a level at E = 0 (b = 1/2)
     ["crosscheck"] + label("1", "0", "-15/2"),
+    # the deepest label whose spectrum runs, and a coarse grid
+    ["crosscheck"] + label("0", "0", "-19"),
+    ["crosscheck"] + label("1", "1", "-6") + ["--grid", "48"],
 ]
 
 
