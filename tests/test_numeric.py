@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderspec import (GridSpec, ParameterError, ground_full, residual_on_grid,
@@ -66,30 +66,59 @@ def xi_case(l2: float = -5.0, alpha: float = 1.0):
             lambda grid: solve_xi(l2, alpha, grid), "xi")
 
 
-class TestLevelsAgainstDense:
+def tridiagonal_solves(monkeypatch, solve, grid):
+    """The solver's result and each (d, e, options, eigenvalues) it passes
+    to scipy.linalg.eigh_tridiagonal."""
+    calls = []
+    eigh = scipy.linalg.eigh_tridiagonal
+
+    def spy(d, e, **kw):
+        out = eigh(d, e, **kw)
+        calls.append((d, e, kw, out if kw["eigvals_only"] else out[0]))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return solve(grid), calls
+
+
+class TestAssemble:
+    # the matrix on n and 2n cells against the reference, entry by entry
+    @pytest.mark.parametrize("n", [16, 17, 18, 50, 2000])
+    @pytest.mark.parametrize("l0, l1", [(0, 0), (0.5, 1.5), (2, 0.5), (-0.5, 3)])
+    def test_two_walls_match_reference(self, n, l0, l1, monkeypatch):
+        self._check(theta_case(l0, l1), n, monkeypatch)
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 50, 2000])
+    @pytest.mark.parametrize("alpha, l2", [(1.0, -5), (9.0, -6), (2.25, -7.5), (49.0, -9)])
+    def test_dirichlet_wall_matches_reference(self, n, alpha, l2, monkeypatch):
+        self._check(xi_case(l2, alpha), n, monkeypatch)
+
+    @staticmethod
+    def _check(case, n, monkeypatch):
+        w, W, solve, variable = case
+        grid = GridSpec(variable, n)
+        _, calls = tridiagonal_solves(monkeypatch, solve, grid)
+        assert [len(d) for d, *_ in calls] == [n, 2 * n]
+        for d, e, _, _ in calls:
+            S = reference_matrix(len(d), grid.length, w, W)
+            assert len(e) == len(d) - 1
+            np.testing.assert_allclose(d, np.diag(S), rtol=1e-12)
+            np.testing.assert_allclose(e, np.diag(S, 1), rtol=1e-12)
+
+
+class TestSolveAgainstDense:
+    @pytest.mark.parametrize("n", [64, 200])
     @pytest.mark.parametrize("case", [theta_case, xi_case])
-    def test_each_grid_matches_the_dense_matrix(self, case, monkeypatch):
+    def test_levels_match_dense_pencil(self, n, case, monkeypatch):
         # every tridiagonal solve, on n and 2n cells, against numpy's dense
         # eigenvalues of the reference matrix: the nev lowest on theta, every
         # one in (min W - 1, 0] on xi
         w, W, solve, variable = case()
-        calls = []
-        eigh = scipy.linalg.eigh_tridiagonal
-
-        def spy(d, e, **kw):
-            out = eigh(d, e, **kw)
-            calls.append((d, e, kw, out if kw["eigvals_only"] else out[0]))
-            return out
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        grid = GridSpec(variable, 64)
-        r = solve(grid)
-        assert [len(d) for d, *_ in calls] == [64, 128]
+        grid = GridSpec(variable, n)
+        r, calls = tridiagonal_solves(monkeypatch, solve, grid)
+        assert [len(d) for d, *_ in calls] == [n, 2 * n]
         for d, e, kw, got in calls:
-            S = reference_matrix(len(d), grid.length, w, W)
-            np.testing.assert_allclose(np.diag(S), d, rtol=1e-12)
-            np.testing.assert_allclose(np.diag(S, 1), e, rtol=1e-12)
-            dense = np.linalg.eigvalsh(S)
+            dense = np.linalg.eigvalsh(reference_matrix(len(d), grid.length, w, W))
             if kw["select"] == "i":
                 want = dense[:4]
             else:
@@ -103,28 +132,29 @@ class TestLevelsAgainstDense:
         np.testing.assert_allclose(r.eigenvalues, (4 * fine - coarse) / 3, rtol=1e-15)
 
 
-# b = -l2 - sqrt(alpha) - 1 - 2k; the closed form binds every b > 1/2
-halves = st.integers(1, 40).map(lambda k: Fraction(k, 2))
+def check_bound_xi_levels(l2: Fraction, root: Fraction) -> None:
+    """solve_xi at n = 2000 reports the closed form's bound levels, each
+    within 1e-3; b = -l2 - sqrt(alpha) - 1 - 2k binds every b > 1/2."""
+    r = solve_xi(l2, float(root) ** 2, GridSpec("xi", 2000))
+    b = [x for x in (-l2 - root - 1 - 2 * k for k in range(20)) if x >= Fraction(1, 2)]
+    # a level at the threshold E = 0 (b = 1/2) may fall on either side
+    bound = sum(1 for x in b if x > Fraction(1, 2))
+    assert len(r.eigenvalues) in ({bound, bound + 1} if len(b) > bound else {bound})
+    for got, x in zip(r.eigenvalues, b):
+        assert abs(got - float(Fraction(1, 4) - x * x)) < 1e-3
 
 
-class TestLevelCount:
+class TestCountBelow:
+    @pytest.mark.parametrize("l2, root", [(-5, 1), (-5, 5), (-6, "3/2"), (-7, 3),
+                                          (-9, 2), (-9, 7), ("-15/2", 2)])
+    def test_counts_the_bound_xi_levels(self, l2, root):
+        check_bound_xi_levels(Fraction(l2), Fraction(root))
+
     @settings(max_examples=100)
-    @given(l2=st.integers(8, 40).map(lambda k: -Fraction(k, 2)), root=halves)
-    @example(l2=Fraction(-5), root=Fraction(1))
-    @example(l2=Fraction(-5), root=Fraction(5))
-    @example(l2=Fraction(-6), root=Fraction(3, 2))
-    @example(l2=Fraction(-7), root=Fraction(3))
-    @example(l2=Fraction(-9), root=Fraction(2))
-    @example(l2=Fraction(-9), root=Fraction(7))
-    @example(l2=Fraction(-15, 2), root=Fraction(2))
+    @given(l2=st.integers(8, 40).map(lambda k: -Fraction(k, 2)),
+           root=st.integers(1, 40).map(lambda k: Fraction(k, 2)))
     def test_counts_and_places_the_bound_xi_levels(self, l2, root):
-        r = solve_xi(l2, float(root) ** 2, GridSpec("xi", 2000))
-        b = [x for x in (-l2 - root - 1 - 2 * k for k in range(20)) if x >= Fraction(1, 2)]
-        # a level at the threshold E = 0 (b = 1/2) may fall on either side
-        bound = sum(1 for x in b if x > Fraction(1, 2))
-        assert len(r.eigenvalues) in ({bound, bound + 1} if len(b) > bound else {bound})
-        for got, x in zip(r.eigenvalues, b):
-            assert abs(got - float(Fraction(1, 4) - x * x)) < 1e-3
+        check_bound_xi_levels(l2, root)
 
 
 class TestSolveTheta:
