@@ -20,15 +20,18 @@ residues as eight ints) -> {int offsets (P, Q, R, S): coefficient}, and its
 operations work on the ints.  A product adds the residues once per pair of
 classes (`_class_sum`, which carries into the offsets) and the offsets per
 pair of terms, on integer numerators over each operand's lcm denominator,
-and a square visits each unordered pair of terms once; sums and
-differences merge dicts.  Every other linear map is
+and a square visits each unordered pair of terms once.  Every sum,
+difference and multiple of expressions is one merge, `_combine`: first plus
+a sum of c g, in one accumulator pruned once.  Every other linear map is
 one pass of the kernel `_linear` over rules (exponent slot or None, factor,
 class and offsets of a multiplier cos^dp sin^dq cosh^dr sinh^ds): a term
 goes to factor times the slot's exponent, if any, times the term times the
 multiplier, into one accumulator pruned once.  d/dtheta and d/dxi are two
 slot rules each (`D_THETA`, `D_XI`), `shift_exponents` one multiplier rule,
-and operators.py compiles the ladder generators, the Hamiltonian and the 1D
-factor operators into such rules.  With
+`from_terms` the identity rule on the raw sum of its input, and
+operators.py compiles the ladder generators, the Hamiltonian and the 1D
+factor operators into such rules.  So coefficient arithmetic happens in
+three kernels: `_linear` with `_expand`, `_combine` and `__mul__`.  With
 X = cos^2, Y = sin^2 the canonical trig factors of a class are X^P (P in Z)
 or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the canonical hyperbolic
 factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
@@ -293,12 +296,9 @@ class FunExpr:
 
     @staticmethod
     def from_terms(terms: Iterable[Monomial]) -> "FunExpr":
-        acc: Classes = {}
-        for m in terms:
-            if m.coeff:
-                cls, (P, Q, R, S) = _split_key(m.key)
-                _expand(acc.setdefault(cls, {}), P, Q, R, S, m.coeff)
-        return FunExpr._pruned(acc)
+        """The normal form of the sum of `terms`: the raw sum, reduced by
+        the identity rule of `_linear`."""
+        return _linear((FunExpr(terms), _IDENTITY))
 
     @staticmethod
     def zero() -> "FunExpr":
@@ -326,31 +326,14 @@ class FunExpr:
     def __repr__(self) -> str:
         return f"FunExpr(terms={self.terms!r})"
 
-    def _map(self, fn: Callable[[Fraction], Fraction]) -> "FunExpr":
-        return FunExpr.from_classes({cls: {k: fn(c) for k, c in row.items()}
-                                     for cls, row in self.classes.items()})
-
     def __add__(self, other: "FunExpr") -> "FunExpr":
-        out = {cls: dict(row) for cls, row in self.classes.items()}
-        for cls, row in other.classes.items():
-            acc = out.setdefault(cls, {})
-            for k, c in row.items():
-                old = acc.get(k)
-                acc[k] = c if old is None else old + c
-        return FunExpr._pruned(out)
+        return _combine(self, (other, 1))
 
     def __neg__(self) -> "FunExpr":
-        return self._map(Fraction.__neg__)
+        return self.scale(-1)
 
     def __sub__(self, other: "FunExpr") -> "FunExpr":
-        """The same merge as `+`, subtracting, with no negated copy."""
-        out = {cls: dict(row) for cls, row in self.classes.items()}
-        for cls, row in other.classes.items():
-            acc = out.setdefault(cls, {})
-            for k, c in row.items():
-                old = acc.get(k)
-                acc[k] = -c if old is None else old - c
-        return FunExpr._pruned(out)
+        return _combine(self, (other, -1))
 
     def _numerators(self) -> tuple[list[tuple[ResidueClass, list[tuple[Offsets, int]]]], int]:
         """The classes as integer numerators over their lcm denominator."""
@@ -386,10 +369,7 @@ class FunExpr:
         return FunExpr.from_classes({cls: row for cls, row in rows if row})
 
     def scale(self, c: RationalLike) -> "FunExpr":
-        c = rational(c)
-        if c == 0:
-            return FunExpr()
-        return self if c == 1 else self._map(lambda v: v * c)
+        return _combine(FunExpr(), (self, rational(c)))
 
     def shift_exponents(self, dp: RationalLike = 0, dq: RationalLike = 0,
                         dr: RationalLike = 0, ds: RationalLike = 0) -> "FunExpr":
@@ -445,6 +425,27 @@ def _linear(*parts: tuple[FunExpr, tuple[tuple, ...]]) -> FunExpr:
                         _expand(acc, k[0] + tP, k[1] + tQ, k[2] + tR, k[3] + tS,
                                 c * _exponent(n, d, k[i], an, ad))
     return FunExpr._pruned(out)
+
+
+def _combine(first: FunExpr, *parts: tuple[FunExpr, RationalLike]) -> FunExpr:
+    """first + the sum over parts (g, c) of c g, for canonical expressions.
+
+    One accumulator, pruned once: the keys of `first` keep their order and
+    new keys follow in order of appearance, as `eval_at` sums in that order.
+    """
+    out = {cls: dict(row) for cls, row in first.classes.items()}
+    for g, c in parts:
+        unit, neg = c == 1, c == -1
+        for cls, row in g.classes.items():
+            acc = out.setdefault(cls, {})
+            for k, v in row.items():
+                v = v if unit else -v if neg else v * c
+                old = acc.get(k)
+                acc[k] = v if old is None else old + v
+    return FunExpr._pruned(out)
+
+
+_IDENTITY = _rules([(None, 1, (0, 0, 0, 0))])
 
 
 # d/dtheta cos^p sin^q = -p cos^(p-1) sin^(q+1) + q cos^(p+1) sin^(q-1) and

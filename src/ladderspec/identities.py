@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import operators as ops
-from .algebra import FunExpr, Monomial, monomial
+from .algebra import FunExpr, Monomial, _combine, monomial
 from .operators import (LabeledState, OperatorName as O, ParamPoint,
                         apply, apply_hamiltonian, apply_separated,
                         diag_eigenvalue, hamiltonian_from_casimir,
@@ -116,11 +116,9 @@ def _act(gen: str, st: LabeledState, apply_fn: ApplyFn) -> LabeledState:
 
 def bracket_residual(entry, st: LabeledState, apply_fn: ApplyFn = apply) -> FunExpr:
     _, xg, yg, rhs = entry
-    lhs = _act(xg, _act(yg, st, apply_fn), apply_fn).expr \
-        - _act(yg, _act(xg, st, apply_fn), apply_fn).expr
-    for coeff, gen in rhs:
-        lhs = lhs - _act(gen, st, apply_fn).expr.scale(coeff)
-    return lhs
+    return _combine(_act(xg, _act(yg, st, apply_fn), apply_fn).expr,
+                    (_act(yg, _act(xg, st, apply_fn), apply_fn).expr, -1),
+                    *((_act(gen, st, apply_fn).expr, -coeff) for coeff, gen in rhs))
 
 
 @dataclass
@@ -141,7 +139,7 @@ def _factorization_residuals(family: str, x: Fraction, y: Fraction,
     for idx, signs in (((x, y), (+1, -1)), ((x - fam.sigma, y - 1), (-1, +1))):
         second, first = (separated_ladder(family, s, idx) for s in signs)
         product = second(first(probe))
-        residuals.append(h - (product + probe.scale(separated_eigenvalue(family, idx))))
+        residuals.append(_combine(h, (product, -1), (probe, -separated_eigenvalue(family, idx))))
     return residuals
 
 

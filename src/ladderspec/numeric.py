@@ -21,6 +21,7 @@ exactly +1/4, leaving V = (alpha - 1/4)/sinh^2 - (l2^2 - 1/4)/cosh^2 + 1/4.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,8 +71,8 @@ class GridSpec:
     def __post_init__(self):
         if self.variable not in ("theta", "xi"):
             raise ParameterError(f"variable must be 'theta' or 'xi', got {self.variable!r}")
-        if self.n < 16:
-            raise ParameterError(f"need n >= 16 interior points, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 16:
+            raise ParameterError(f"need an int n >= 16, got {self.n!r}")
         if not (math.isfinite(self.cutoff) and self.cutoff > 0):
             raise ParameterError(f"cutoff must be finite and positive, got {self.cutoff}")
 
@@ -122,7 +123,7 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
         d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
                   + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
         e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
-        kind, bounds = ("i", (0, min(nev, m) - 1)) if nev else ("v", (Wc.min() - 1.0, 0.0))
+        kind, bounds = ("v", (Wc.min() - 1, 0)) if nev is None else ("i", (0, min(nev, m) - 1))
         found.append(eigh_tridiagonal(d, e, eigvals_only=m == grid.n, select=kind,
                                       select_range=bounds, lapack_driver="stebz",
                                       tol=1e-12 * (1.0 + abs(Wc.min()))))
@@ -144,6 +145,8 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
     The exact values follow the ladder rule (1 + l0 + l1 + 2n)^2, which this
     solver knows nothing about.
     """
+    if not isinstance(nev, numbers.Integral) or nev < 1:
+        raise ParameterError(f"nev must be an int >= 1, got {nev!r}")
     L0, L1 = _to_float(l0), _to_float(l1)
     if L0 < -0.5 or L1 < -0.5:
         raise ParameterError(f"need l0, l1 >= -1/2, got ({L0}, {L1})")

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _first_term, _linear,
-                      _rules, d_theta, d_xi, rational)
+from .algebra import (D_THETA, D_XI, FunExpr, RationalLike, _combine, _first_term,
+                      _linear, _rules, d_theta, d_xi, rational)
 
 HALF = Fraction(1, 2)
 
@@ -337,21 +337,20 @@ def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledSta
 def apply_casimir(st: LabeledState) -> FunExpr:
     """Quadratic Casimir: the sum over the families of eps X+X- + 2/3 X^2 - X,
     that is A+A- - B+B- - C+C- + 2/3(A^2+B^2+C^2) - (A+B+C)."""
-    total = FunExpr()
-    scalar = Fraction(0)
+    parts, scalar = [], Fraction(0)
     for name, fam in _FAMILIES.items():
         up, dn = _BY_KEY[(name, +1, None)], _BY_KEY[(name, -1, None)]
-        total += apply(up, apply(dn, st)).expr.scale(fam.eps)
+        parts.append((apply(up, apply(dn, st)).expr, fam.eps))
         x = diag_eigenvalue(name, st.label)
         scalar += Fraction(2, 3) * x * x - x
-    return total + st.expr.scale(scalar)
+    return _combine(FunExpr(), *parts, (st.expr, scalar))
 
 
 def hamiltonian_from_casimir(st: LabeledState) -> FunExpr:
     """-4*Casimir + (l1+l2-l0)^2/3 - 15/4 applied to st."""
     cp = cprime(st.label)
-    scalar = Fraction(1, 3) * cp * cp - Fraction(15, 4)
-    return apply_casimir(st).scale(-4) + st.expr.scale(scalar)
+    return _combine(FunExpr(), (apply_casimir(st), -4),
+                    (st.expr, Fraction(1, 3) * cp * cp - Fraction(15, 4)))
 
 
 def verify_intertwining(family: str, label: ParamPoint, probe: FunExpr) -> FunExpr:

@@ -32,7 +32,7 @@ from ladderspec import (DivergenceError, DomainError, FunExpr, ParamPoint,
                         apply_word, bound_spectrum, d_theta, d_xi, eval_at,
                         eval_grid, ground_full, integral, is_normalizable,
                         norm_squared)
-from ladderspec.algebra import Monomial, rational
+from ladderspec.algebra import Monomial, _combine, rational
 
 
 # --- reference oracle: the stepwise reducer -------------------------------
@@ -237,6 +237,38 @@ def test_scale_matches_oracle(f, c):
     assert_same(f.scale(c), oracle_scale(f, c))
     assert_same(f.scale(0), oracle_scale(f, 0))
     assert_same(f.scale(1), oracle_scale(f, 1))
+
+
+factors = st.one_of(st.sampled_from((0, 1, -1)), rationals)
+
+
+@given(exprs, st.lists(st.tuples(exprs, factors), max_size=3))
+def test_combine_matches_oracle(first, parts):
+    want = first
+    for g, c in parts:
+        want = oracle_add(want, oracle_scale(g, c))
+    assert_same(_combine(first, *parts), want)
+
+
+def merge_order(*fs):
+    """The (class, offsets) keys of the fs in order of first appearance,
+    grouped by class in order of first appearance."""
+    groups = {}
+    for f in fs:
+        for cls, row in f.classes.items():
+            keys = groups.setdefault(cls, {})
+            keys.update(dict.fromkeys(row))
+    return [(cls, k) for cls, keys in groups.items() for k in keys]
+
+
+@given(exprs, exprs)
+def test_sums_keep_the_merge_key_order(a, b):
+    """`+` and `-` list a's keys first, then b's new ones, as evaluation sums
+    the terms in that order."""
+    for got in (a + b, a - b):
+        keys = [(cls, k) for cls, row in got.classes.items() for k in row]
+        assert keys == [(cls, k) for cls, k in merge_order(a, b)
+                        if k in got.classes.get(cls, {})]
 
 
 @given(exprs, st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4,

@@ -32,6 +32,12 @@ class TestGridSpec:
         with pytest.raises(ParameterError, match=f"cutoff .*{cutoff}"):
             GridSpec(variable, 100, cutoff=cutoff)
 
+    @pytest.mark.parametrize("n", [20.5, 20.0, "20"])
+    def test_n_must_be_an_int(self, n):
+        # 20.5 cells of width L/20.5 would run the coarse grid past the cutoff
+        with pytest.raises(ParameterError, match=f"int n >= 16, got {n!r}"):
+            GridSpec("xi", n)
+
     def test_nodes_are_interior(self):
         g = GridSpec("theta", 32)
         x = g.nodes()
@@ -210,6 +216,12 @@ class TestSolveTheta:
     def test_label_string_that_is_no_rational_is_a_parameter_error(self, l0):
         with pytest.raises(ParameterError, match=f"labels must be .*got '{l0}'$"):
             solve_theta(l0, 0, GridSpec("theta", 20))
+
+    @pytest.mark.parametrize("nev", [0, -1, 2.5, None])
+    def test_nev_must_be_a_positive_int(self, nev, capfd):
+        with pytest.raises(ParameterError, match=f"nev must be an int >= 1, got {nev!r}$"):
+            solve_theta(0, 0, GridSpec("theta", 32), nev=nev)
+        assert capfd.readouterr() == ("", "")  # and no LAPACK message
 
     def test_rejects_a_xi_grid(self):
         with pytest.raises(ParameterError, match="needs a theta grid"):

@@ -12,8 +12,9 @@ argv.  The commands are the golden cases of ``tests/test_golden.py``, more
 ROADMAP measures and at the spectrum-sweep anchor (2, 2, -12), the
 lattices, six states (one deep enough to print a normalization, one at a
 vertex that the E < 0 cut rejects, one that the Friedrichs rule rejects,
-one at its boundary and one that its word maps to zero), two samples (one
-of a state that diverges at a wall), ``crosscheck`` (at one label each
+one at its boundary and one that its word maps to zero), four samples (a
+vertex, two multi-term word states and one state that diverges at a
+wall), ``crosscheck`` (at one label each
 binding channel has a level at the threshold E = 0, at the deep label
 (0, 0, -19) and on a coarse grid), and labels with
 negative entries next to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
@@ -61,6 +62,10 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     # a word that maps the vertex to zero: no eigenvalue or normalization
     ["state", "--l0=1", "--l2=-4", "--word", "A-"],
     ["sample", "--l0=0", "--l2=-5", "--grid", "16"],
+    # multi-term states, whose cancelling terms make the sampled bits
+    # depend on the order in which evaluation sums them
+    ["sample", "--l0=1", "--l2=-4", "--word", "Ctilde+,Atilde+,C+,A+", "--grid", "16"],
+    ["sample", "--l0=0", "--l2=-6", "--word", "A+,C+,Ctilde+", "--grid", "8"],
     # a state whose integral diverges at a wall: exits 2 naming the term
     ["sample", "--l0=1/2", "--l2=-7/2", "--word", "A+,B+", "--grid", "2"],
     ["crosscheck"] + label("0", "0", "-5"),
