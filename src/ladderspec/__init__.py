@@ -11,7 +11,7 @@ import importlib
 
 from .algebra import (DivergenceError, DomainError, FunExpr, Monomial,
                       d_theta, d_xi, eval_at, eval_grid, inner, integral,
-                      is_normalizable, monomial, norm_squared, rational)
+                      is_normalizable, monomial, rational)
 from .identities import IdentityResult, run_suite
 from .operators import (LabeledState, OperatorName, ParamPoint,
                         VariableMismatchError, apply, apply_casimir,

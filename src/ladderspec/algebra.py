@@ -27,11 +27,12 @@ one pass of the kernel `_linear` over rules (exponent slot or None, factor,
 class and offsets of a multiplier cos^dp sin^dq cosh^dr sinh^ds): a term
 goes to factor times the slot's exponent, if any, times the term times the
 multiplier, into one accumulator pruned once.  d/dtheta and d/dxi are two
-slot rules each (`D_THETA`, `D_XI`), `shift_exponents` one multiplier rule,
-`from_terms` the identity rule on the raw sum of its input, and
-operators.py compiles the ladder generators, the Hamiltonian and the 1D
-factor operators into such rules.  So coefficient arithmetic happens in
-three kernels: `_linear` with `_expand`, `_combine` and `__mul__`.  With
+slot rules each (`D_THETA`, `D_XI`), `from_terms` the identity rule on the
+raw sum of its input, and operators.py compiles the ladder generators, the
+Hamiltonian and the 1D factor operators into such rules.  So coefficient
+arithmetic happens in three kernels, `_linear` with `_expand`, `_combine`
+and `__mul__`, each of which builds its result through `_pruned`, the one
+constructor that drops zero coefficients.  With
 X = cos^2, Y = sin^2 the canonical trig factors of a class are X^P (P in Z)
 or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the canonical hyperbolic
 factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
@@ -282,27 +283,20 @@ class FunExpr:
             row[offs] = row.get(offs, 0) + m.coeff
 
     @staticmethod
-    def from_classes(classes: Classes) -> "FunExpr":
-        """Wrap a map with canonical offsets and no zero coefficients."""
-        f = object.__new__(FunExpr)
-        f.classes, f._terms = classes, None
-        return f
-
-    @staticmethod
     def _pruned(acc: Classes) -> "FunExpr":
-        """`from_classes` of a sum that may have cancelled: drops zeros."""
+        """The expression of `acc`, a map with canonical offsets whose sums
+        may have cancelled: zero coefficients and empty classes drop.  The
+        one constructor of `_linear`, `_combine` and `__mul__` results."""
         rows = ((cls, {k: c for k, c in row.items() if c}) for cls, row in acc.items())
-        return FunExpr.from_classes({cls: row for cls, row in rows if row})
+        f = object.__new__(FunExpr)
+        f.classes, f._terms = {cls: row for cls, row in rows if row}, None
+        return f
 
     @staticmethod
     def from_terms(terms: Iterable[Monomial]) -> "FunExpr":
         """The normal form of the sum of `terms`: the raw sum, reduced by
         the identity rule of `_linear`."""
         return _linear((FunExpr(terms), _IDENTITY))
-
-    @staticmethod
-    def zero() -> "FunExpr":
-        return FunExpr()
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
@@ -364,17 +358,11 @@ class FunExpr:
                     for (Pb, Qb, Rb, Sb), y in pairs:
                         _expand(acc, Pa + Pb, Qa + Qb, Ra + Rb, Sa + Sb, x * y)
         den = den_a * den_b
-        rows = ((cls, {k: Fraction(n, den) for k, n in row.items() if n})
-                for cls, row in out.items())
-        return FunExpr.from_classes({cls: row for cls, row in rows if row})
+        return FunExpr._pruned({cls: {k: Fraction(n, den) for k, n in row.items()}
+                                for cls, row in out.items()})
 
     def scale(self, c: RationalLike) -> "FunExpr":
         return _combine(FunExpr(), (self, rational(c)))
-
-    def shift_exponents(self, dp: RationalLike = 0, dq: RationalLike = 0,
-                        dr: RationalLike = 0, ds: RationalLike = 0) -> "FunExpr":
-        """Multiply by cos^dp sin^dq cosh^dr sinh^ds."""
-        return _linear((self, _rules([(None, 1, tuple(map(rational, (dp, dq, dr, ds))))])))
 
     def __str__(self) -> str:
         if not self.classes:
@@ -664,10 +652,6 @@ def integral(f: FunExpr) -> float:
 def inner(a: FunExpr, b: FunExpr) -> float:
     """Inner product int a*b sinh(xi) dxi dtheta over the quadrant."""
     return integral(a * b)
-
-
-def norm_squared(f: FunExpr) -> float:
-    return inner(f, f)
 
 
 def is_normalizable(f: FunExpr) -> bool:

@@ -141,8 +141,9 @@ def cmd_sample(args) -> int:
 
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    if not (math.isfinite(args.cutoff) and args.cutoff > 0):
-        raise ValueError(f"--cutoff must be finite and positive, got {args.cutoff}")
+    # the cell centres below multiply by the cutoff before they divide by n
+    if not (math.isfinite((args.grid - 0.5) * args.cutoff) and args.cutoff > 0):
+        raise ValueError(f"--cutoff must be > 0 with finite cell centres, got {args.cutoff}")
     st = spectra.ground_full(args.l0, args.l2)
     st = apply_word(_parse_word(args.word), st)
     if st.is_zero:

@@ -39,15 +39,16 @@ class ParameterError(ValueError):
 
 def _to_float(x, what: str = "labels") -> float:
     """x as a float; a string that is no exact rational, a non-finite x, or
-    one beyond the float range, is a ParameterError that names it."""
+    one whose square, or that of a sum of two such, is beyond the float
+    range, is a ParameterError that names it.  The solvers square such sums."""
     try:
         v = float(x) if isinstance(x, float) else float(Fraction(x))
     except OverflowError:
         v = math.inf
     except (ValueError, ZeroDivisionError):  # "nan", "abc", "1/0"
         raise ParameterError(f"{what} must be exact rationals or floats, got {x!r}") from None
-    if not math.isfinite(v):
-        raise ParameterError(f"{what} must be finite and in the float range, got {x}")
+    if not math.isfinite(4 * v * v):
+        raise ParameterError(f"{what} must be finite and square in the float range, got {x}")
     return v
 
 
@@ -73,8 +74,9 @@ class GridSpec:
             raise ParameterError(f"variable must be 'theta' or 'xi', got {self.variable!r}")
         if not isinstance(self.n, numbers.Integral) or self.n < 16:
             raise ParameterError(f"need an int n >= 16, got {self.n!r}")
-        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
-            raise ParameterError(f"cutoff must be finite and positive, got {self.cutoff}")
+        w = self.cutoff / self.n  # no user of the grid squares a wider cell
+        if not (math.isfinite(w * w) and self.cutoff > 0):
+            raise ParameterError(f"cutoff must be > 0 with (cutoff/n)^2 finite, got {self.cutoff}")
 
     @property
     def length(self) -> float:
@@ -92,7 +94,6 @@ class GridSpec:
 class EigenResult:
     eigenvalues: tuple[float, ...]
     residual_norms: tuple[float, ...]
-    grid: GridSpec
 
 
 def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
@@ -119,10 +120,13 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
     for m in (grid.n, 2 * grid.n):
         h = grid.length / m
         faces, cells = h * np.arange(1, m), h * (np.arange(m) + 0.5)
-        lf, lc, Wc = log_w(faces), log_w(cells), W(cells)
-        d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
-                  + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
-        e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            lf, lc, Wc = log_w(faces), log_w(cells), W(cells)
+            d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
+                      + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
+            e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ParameterError(f"inputs too large: the {grid.variable} matrix overflows")
         kind, bounds = ("v", (Wc.min() - 1, 0)) if nev is None else ("i", (0, min(nev, m) - 1))
         found.append(eigh_tridiagonal(d, e, eigvals_only=m == grid.n, select=kind,
                                       select_range=bounds, lapack_driver="stebz",
@@ -157,7 +161,7 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
     vals, res, _ = _levels(grid, lambda x: a * np.log(np.sin(x))
                            + b * np.log(np.sin(np.pi / 2 - x)),
                            lambda x: np.full_like(x, (a + b) ** 2), nev)
-    return EigenResult(tuple(vals.tolist()), tuple(res.tolist()), grid)
+    return EigenResult(tuple(vals.tolist()), tuple(res.tolist()))
 
 
 def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenResult:
@@ -185,7 +189,7 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
         if tail > 1e-8:
             warnings.warn(f"cutoff {grid.cutoff} clips the ground eigenfunction "
                           f"(tail mass {tail:.2e})", TruncationWarning)
-    return EigenResult(tuple(vals[:bound].tolist()), tuple(res[:bound].tolist()), grid)
+    return EigenResult(tuple(vals[:bound].tolist()), tuple(res[:bound].tolist()))
 
 
 # Fixed window for sup-norm residuals: fractional wall exponents make high
@@ -193,6 +197,12 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
 # interior region, not up to the boundary.
 _THETA_WINDOW = (0.1, math.pi / 2 - 0.1)
 _XI_WINDOW_FRACTION = (0.05, 0.8)
+
+
+def _window(x: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
+    """Bounds i, j of the nodes x[i:j] in [lo, hi] with a node on either
+    side; x ascends, so they are one contiguous range."""
+    return max(np.searchsorted(x, lo), 1), min(np.searchsorted(x, hi, "right"), len(x) - 1)
 
 
 def residual_on_grid(st: LabeledState, energy: RationalLike,
@@ -205,23 +215,15 @@ def residual_on_grid(st: LabeledState, energy: RationalLike,
     """
     E = float(Fraction(energy))
     l0, l1, l2 = (float(v) for v in st.label.astuple())
-    ht, hx = grid_theta.h, grid_xi.h
-    thetas = grid_theta.nodes()
-    xis = grid_xi.nodes()
-    ti = np.where((thetas >= _THETA_WINDOW[0]) & (thetas <= _THETA_WINDOW[1]))[0]
-    lo, hi = (_XI_WINDOW_FRACTION[0] * grid_xi.cutoff,
-              _XI_WINDOW_FRACTION[1] * grid_xi.cutoff)
-    xj = np.where((xis >= lo) & (xis <= hi))[0]
-    ti = ti[(ti >= 1) & (ti < len(thetas) - 1)]
-    xj = xj[(xj >= 1) & (xj < len(xis) - 1)]
+    thetas, xis = grid_theta.nodes(), grid_xi.nodes()
+    t0, t1 = _window(thetas, *_THETA_WINDOW)
+    x0, x1 = _window(xis, *(r * grid_xi.cutoff for r in _XI_WINDOW_FRACTION))
     f = eval_grid(st.expr, thetas, xis)
-    c, m = np.ix_(ti, xj)
-    f0 = f[c, m]
-    d2t = (f[np.ix_(ti + 1, xj)] - 2 * f0 + f[np.ix_(ti - 1, xj)]) / ht ** 2
-    d2x = (f[np.ix_(ti, xj + 1)] - 2 * f0 + f[np.ix_(ti, xj - 1)]) / hx ** 2
-    d1x = (f[np.ix_(ti, xj + 1)] - f[np.ix_(ti, xj - 1)]) / (2 * hx)
-    th = thetas[ti][:, None]
-    xx = xis[xj][None, :]
+    f0, right, left = f[t0:t1, x0:x1], f[t0:t1, x0 + 1:x1 + 1], f[t0:t1, x0 - 1:x1 - 1]
+    d2t = (f[t0 + 1:t1 + 1, x0:x1] - 2 * f0 + f[t0 - 1:t1 - 1, x0:x1]) / grid_theta.h ** 2
+    d2x = (right - 2 * f0 + left) / grid_xi.h ** 2
+    d1x = (right - left) / (2 * grid_xi.h)
+    th, xx = thetas[t0:t1, None], xis[None, x0:x1]
     hnum = (-d2x - d1x / np.tanh(xx)
             - (l2 ** 2 - 0.25) / np.cosh(xx) ** 2 * f0
             + (-d2t + ((l1 ** 2 - 0.25) / np.sin(th) ** 2

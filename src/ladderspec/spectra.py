@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import (_WALLS, D_XI, FunExpr, RationalLike, inner,
-                      is_normalizable, monomial, norm_squared, rational)
+                      is_normalizable, monomial, rational)
 # apply stays importable from here for tools that rebind the operator layer
 from .operators import (_FAMILIES, HALF, QUARTER, SHIFTS, LabeledState, OperatorName as O,
                         ParamPoint, apply, apply_word, separated_eigenvalue)
@@ -252,7 +252,7 @@ def gram_matrix(states: list[LabeledState]) -> np.ndarray:
     """Pairwise inner products of unit-normalized states."""
     import numpy as np
 
-    norms = [float(np.sqrt(norm_squared(st.expr))) for st in states]
+    norms = [float(np.sqrt(inner(st.expr, st.expr))) for st in states]
     n = len(states)
     g = np.eye(n)
     for i in range(n):
@@ -282,7 +282,7 @@ def normalize(st: LabeledState) -> tuple[LabeledState, float]:
     """
     if st.is_zero:
         raise ValueError("cannot normalize the zero state")
-    n2 = norm_squared(st.expr)
+    n2 = inner(st.expr, st.expr)
     if not (math.isfinite(n2) and n2 > 0):
         raise ValueError(
             f"cannot normalize the state at {st.label}: norm squared is {n2!r}")

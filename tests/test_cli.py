@@ -22,7 +22,7 @@ def run_cli(capsys, *argv):
 # every public name of the package; the numeric ones resolve on first use
 EXPORTS = (
     "DivergenceError DomainError FunExpr Monomial d_theta d_xi eval_at eval_grid "
-    "inner integral is_normalizable monomial norm_squared rational "
+    "inner integral is_normalizable monomial rational "
     "IdentityResult run_suite "
     "EigenResult GridSpec ParameterError TruncationWarning residual_on_grid "
     "solve_theta solve_xi numeric "
@@ -321,6 +321,15 @@ class TestSample:
         assert out == ""
         assert "--cutoff" in err and cutoff in err
 
+    def test_cutoff_beyond_the_float_range_exits_2(self, capsys):
+        # the largest cell centre, 2.5 * 1e308 / 3, overflows before it divides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sample", "--l0=0", "--l2=-5", "--grid", "3",
+                                     "--cutoff", "1e308")
+        assert (code, out) == (2, "")
+        assert "--cutoff" in err and "1e+308" in err
+
 
 class TestCrosscheck:
     def test_default_grid_passes(self, capsys):
@@ -375,6 +384,13 @@ class TestCrosscheck:
         assert code == 2
         assert out == ""
         assert "cutoff" in err and cutoff in err
+
+    def test_cutoff_beyond_the_float_range_exits_2(self, capsys):
+        # the square of the cell width, (1e308/2000)^2, overflows
+        code, out, err = run_cli(capsys, "crosscheck", "--l0=0", "--l1=0", "--l2=-5",
+                                 "--cutoff=1e308")
+        assert (code, out) == (2, "")
+        assert "cutoff" in err and "1e+308" in err
 
     def test_unmatched_level_is_strict_json_null(self, capsys):
         # 16 cells bind no level near -15/4; the output must still be strict JSON

@@ -5,9 +5,9 @@ their rules to an expression in one pass of `_linear`, and `-` merges its two
 operands directly.  The oracles below are the earlier composition forms of
 the same operators: repeated derivatives, products with `monomial`
 multipliers, negated copies and sums of intermediate expressions.  Both must
-give identical normal forms.  The derivatives and `shift_exponents` are
-checked against Monomial-level oracles in test_normal_form.py, the ladder
-generators against their own oracle in test_operator_tables.py.
+give identical normal forms.  The derivatives and products with a monomial
+are checked against Monomial-level oracles in test_normal_form.py, the
+ladder generators against their own oracle in test_operator_tables.py.
 """
 
 from fractions import Fraction

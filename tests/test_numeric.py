@@ -1,6 +1,7 @@
 """Finite-volume eigensolvers and the grid residual check."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,22 @@ class TestSolveXi:
             solve_xi(-5, 1.0, GridSpec("xi", 400, cutoff=2.0))
 
 
+@pytest.mark.parametrize("solve, args, message", [
+    (solve_theta, (1e200, 0), r"labels .*got 1e\+200$"),
+    (solve_theta, (1e154, 1e154), r"labels .*got 1e\+154$"),  # (1 + l0 + l1)^2 overflows
+    (solve_theta, (0, 600), "inputs too large: the theta matrix overflows"),
+    (solve_xi, (-1e200, 1.0), r"labels .*got -1e\+200$"),
+    (solve_xi, (-5, 1e300), r"alpha .*got 1e\+300$"),
+])
+def test_overflowing_input_is_a_parameter_error(solve, args, message):
+    """An input whose square or whose matrix leaves the float range raises
+    a ParameterError that names it, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=message):
+            solve(*args, GridSpec(solve.__name__.removeprefix("solve_"), 16))
+
+
 class TestResidualOnGrid:
     def test_vertex_state_richardson(self):
         st = ground_full(0, -5)
@@ -340,7 +357,7 @@ class TestResidualOnGrid:
 
     def test_zero_state(self):
         from ladderspec import FunExpr, LabeledState, ParamPoint
-        st = LabeledState(ParamPoint.of(0, 0, -5), FunExpr.zero())
+        st = LabeledState(ParamPoint.of(0, 0, -5), FunExpr())
         assert residual_on_grid(st, 0, GridSpec("theta", 64),
                                 GridSpec("xi", 64, cutoff=12.0)) == 0.0
 

@@ -86,7 +86,7 @@ class TestHamiltonian:
         assert apply_hamiltonian(st) == st.expr.scale(Fraction(-35, 4))
 
     def test_zero_maps_to_zero(self):
-        st = lstate(1, 2, 3, FunExpr.zero())
+        st = lstate(1, 2, 3, FunExpr())
         assert apply_hamiltonian(st).is_zero
 
     def test_origin_vertex_profile(self):

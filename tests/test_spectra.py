@@ -14,8 +14,8 @@ from ladderspec import (AdmissibilityError, LabeledState, OperatorName,
                         ParamPoint, apply, apply_hamiltonian, apply_word,
                         bound_spectrum, cprime, enumerate_lattice, gram_rank,
                         ground_beta, ground_chi, ground_full, ground_theta,
-                        is_normalizable, lattice_states, monomial,
-                        norm_squared, normalize, so42_vacuum, states_at,
+                        inner, is_normalizable, lattice_states, monomial,
+                        normalize, so42_vacuum, states_at,
                         vertex_energy)
 from ladderspec.cli import main as cli_main
 from ladderspec.operators import LOWERING_SO42, LOWERING_SU21, SHIFTS
@@ -170,7 +170,7 @@ class TestGramRank:
 class TestNormalize:
     def test_unit_norm_after(self):
         st, const = normalize(ground_full(0, -5))
-        assert norm_squared(st.expr) == pytest.approx(1.0, abs=1e-12)
+        assert inner(st.expr, st.expr) == pytest.approx(1.0, abs=1e-12)
         assert const > 0
 
     def test_zero_state_rejected(self):

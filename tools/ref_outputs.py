@@ -16,8 +16,11 @@ one at its boundary and one that its word maps to zero), four samples (a
 vertex, two multi-term word states and one state that diverges at a
 wall), ``crosscheck`` (at one label each
 binding channel has a level at the threshold E = 0, at the deep label
-(0, 0, -19) and on a coarse grid), and labels with
-negative entries next to their branch labels.  A refactor that keeps the program's behavior prints the same lines.
+(0, 0, -19) and on a coarse grid), labels with negative entries next to
+their branch labels, and a ``sample`` and a ``crosscheck`` whose cutoff
+leaves the float range.  A command that raises prints the exception's type
+and message in place of its digest, and the commands after it still run.
+A refactor that keeps the program's behavior prints the same lines.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     # the deepest label whose spectrum runs, and a coarse grid
     ["crosscheck"] + label("0", "0", "-19"),
     ["crosscheck"] + label("1", "1", "-6") + ["--grid", "48"],
+    # cutoffs whose cell centres or squared cell width leave the float range
+    ["sample", "--l0=0", "--l2=-5", "--grid", "3", "--cutoff", "1e308"],
+    ["crosscheck"] + label("0", "0", "-5") + ["--cutoff=1e308"],
 ]
 
 
@@ -100,9 +106,14 @@ def digest(text: str) -> str:
 
 
 def run(argv: list[str]) -> str:
+    """The digest line of one command, or the type and message of the
+    exception it raises, so that the other commands still run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc} {' '.join(argv)}"
     return f"{digest(out.getvalue())} {digest(err.getvalue())} {code} {' '.join(argv)}"
 
 
