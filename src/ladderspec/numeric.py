@@ -5,11 +5,19 @@ its eigenfunctions behave like x^(nu+1/2) there.  A weight w built from those
 indicial exponents alone turns it into -(w^2 g')' + W w^2 g = E w^2 g for
 u = w g, with a bounded W.  Both solvers discretize that form on uniform
 cells with no flux through either end, which after a diagonal scaling by w
-is one symmetric tridiagonal matrix.  LAPACK bisection on its Sturm count
-finds the levels, so the number of levels in an interval is exact by
-Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue Problem, 3.3).
-The scheme is second order; each solve runs on n and 2n cells and reports
-the Richardson values.  Only the indicial exponents of the differential
+is one symmetric tridiagonal matrix.  Inverse iteration (LAPACK dstein)
+gives each level's vector, and the level is its Rayleigh quotient in flux
+form.  Sturm counts (dstebz) fix each level's index and the number of levels
+in an interval, exactly by Sylvester's law of inertia (Parlett, The Symmetric
+Eigenvalue Problem, 3.3), and the Kato-Temple bound r^2/sep on the residual
+certifies each value to the bisection tolerance; a grid whose certificate
+fails is bisected as before.  The quotient is the more exact: a Sturm count
+on the matrix entries is good only to about eps max|d|, because the low
+levels cancel d against 2|e| (Kahan, Accurate eigenvalues of a symmetric
+tri-diagonal matrix, 1966), and tight bisection of theta(0, 0) at n = 2000
+was up to 7.4e-10 off a long-double bisection of the same matrices, where
+the quotient is 7e-13 off.  The scheme is second order; each solve runs on n
+and 2n cells and reports the Richardson values.  Only the indicial exponents of the differential
 equation enter; no spectral data from the operator algebra is used, which
 keeps this module an independent oracle.
 
@@ -96,6 +104,93 @@ class EigenResult:
     residual_norms: tuple[float, ...]
 
 
+def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
+          W: Callable[[np.ndarray], np.ndarray], nev: Optional[int] = None,
+          guesses: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+    """The matrix (d, e) on m cells, its levels, their unit vectors and
+    residuals |S v - E v|: the nev lowest, or with nev None every level in
+    (min W - 1, 0]; the flux part is positive semidefinite, so no level lies
+    below min W.
+
+    Inverse iteration (dstein) from the guesses, or without them from one
+    bisection (dstebz) to the loose tolerance 1e-4 (1 + |min W|), gives each
+    unit vector v.  Its level rho is the Rayleigh quotient in flux form,
+    (sum over faces of (v_i w_f/w_i - v_(i+1) w_f/w_(i+1))^2/h^2
+    + sum W_i v_i^2) / sum v_i^2, a sum of squares in which d does not cancel
+    against 2|e|.  A level is accepted when r^2/sep, with r = |S v - rho v|
+    and sep its distance to the nearest other level, is at most the
+    bisection tolerance 1e-12 (1 + |min W|) (Kato-Temple), and when Sturm
+    counts at rho -+ delta, with delta = 8 eps (max|d| + 2 max|e|) the
+    count's own error, put it at its index.  On theta a count also shows
+    that no level lies within the top gap above the top level; on xi the
+    count in the window is the number of levels.  A grid that fails any
+    check, after one more round from the quotients, is bisected to the
+    tight tolerance instead (eigh_tridiagonal, dstebz and stein).
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
+
+    h = grid.length / m
+    faces, cells = h * np.arange(1, m), h * (np.arange(m) + 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lf, lc, Wc = log_w(faces), log_w(cells), W(cells)
+        d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
+                  + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
+        e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ParameterError(f"inputs too large: the {grid.variable} matrix overflows")
+    floor, tol = Wc.min() - 1, 1e-12 * (1.0 + abs(Wc.min()))
+
+    def count(x: float) -> int:  # levels in (floor, x]; an infinite tolerance bisects nothing
+        return dstebz(d, e, 1, floor, x, 0, 0, np.inf, b"E")[0] if x > floor else 0
+
+    def residuals(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        Sv = d[:, None] * vecs
+        Sv[:-1] += e[:, None] * vecs[1:]
+        Sv[1:] += e[:, None] * vecs[:-1]
+        return np.linalg.norm(Sv - vals * vecs, axis=0)
+
+    # on xi without guesses, the loose bisection counts the levels
+    k = min(nev, m) if nev is not None else count(0.0) if guesses is not None else 0
+    if guesses is None and (nev is not None or floor < 0):
+        select = (1, floor, 0.0, 1, 1) if nev is None else (2, 0.0, 0.0, 1, k)
+        found, w = dstebz(d, e, *select, 1e-4 * (1.0 + abs(Wc.min())), b"E")[:2]
+        guesses, k = w[:found], found if nev is None else k
+    if not k:
+        return d, e, np.empty(0), np.empty((m, 0)), np.empty(0)
+    delta = 8 * np.finfo(float).eps * (np.abs(d).max() + 2 * np.abs(e).max())
+    ratios = np.exp(lf - lc[:-1])[:, None], np.exp(lf - lc[1:])[:, None]
+
+    def certify(g: np.ndarray):
+        """(levels, vectors, residuals) by inverse iteration from g, sorted,
+        and whether the certificate holds; (None, False) for unusable g."""
+        g = np.sort(g)
+        if len(g) != k or not (np.isfinite(g).all() and (np.diff(g) > 0).all()):
+            return None, False
+        z, info = dstein(d, e, g, np.ones(m, np.int32), np.full(m, m, np.int32))
+        z2 = z * z
+        flux = (z[:-1] * ratios[0] - z[1:] * ratios[1]) ** 2
+        rho = (flux.sum(axis=0) / h ** 2 + (Wc[:, None] * z2).sum(axis=0)) / z2.sum(axis=0)
+        r = residuals(rho, z)
+        top = 0.0 if nev is None else np.inf if k == m else 2 * rho[-1] - np.r_[floor, rho][-2]
+        gaps = np.diff(np.r_[-np.inf, rho, top])
+        ok = (info == 0 and (r * r <= tol * (np.minimum(gaps[:-1], gaps[1:]) - delta)).all()
+              and all(count(x - delta) == i and count(x + delta) == i + 1
+                      for i, x in enumerate(rho))
+              and (nev is None or top == np.inf or count(top) == k))
+        return (rho, z, r), ok
+
+    found, ok = certify(guesses)
+    if found is not None and not ok:
+        found, ok = certify(found[0])
+    if not ok:
+        kind, bounds = ("v", (floor, 0.0)) if nev is None else ("i", (0, k - 1))
+        vals, vecs = eigh_tridiagonal(d, e, select=kind, select_range=bounds,
+                                      lapack_driver="stebz", tol=tol)
+        found = vals, vecs, residuals(vals, vecs)
+    return (d, e) + found
+
+
 def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
             W: Callable[[np.ndarray], np.ndarray],
             nev: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,39 +199,15 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
     With u = w g the equation reads -(w^2 g')' + W w^2 g = E w^2 g.  Cell-
     centred finite volumes with no flux through either end, scaled by w at
     the cell centres, give a symmetric tridiagonal S whose entries take w
-    only in logs and only at interior faces and centres.  LAPACK bisection on
-    the Sturm count (dstebz) returns the nev lowest levels, or with nev None
-    every level in (min W - 1, 0]; the flux part is positive semidefinite, so
-    no level lies below min W.  Its absolute tolerance scales with W alone:
-    the default eps*|S| grows like 4^p/h^2 next to a wall of exponent p, and
-    the tightest, 2*tiny, bisects a level at E = 0 down to underflow.  Returns the
-    Richardson values (4 E_2n - E_n)/3 of the levels both grids report, the
-    residuals |S u - E u| of the fine unit eigenpairs, and their vectors,
-    which sample u = w g at the fine cell centres.
+    only in logs and only at interior faces and centres (_grid).  The coarse
+    grid's levels are the fine grid's guesses.  Returns the Richardson values
+    (4 E_2n - E_n)/3 of the levels both grids report, the residuals
+    |S u - E u| of the fine unit eigenpairs, and their vectors, which sample
+    u = w g at the fine cell centres.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    found = []
-    for m in (grid.n, 2 * grid.n):
-        h = grid.length / m
-        faces, cells = h * np.arange(1, m), h * (np.arange(m) + 0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lf, lc, Wc = log_w(faces), log_w(cells), W(cells)
-            d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
-                      + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
-            e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise ParameterError(f"inputs too large: the {grid.variable} matrix overflows")
-        kind, bounds = ("v", (Wc.min() - 1, 0)) if nev is None else ("i", (0, min(nev, m) - 1))
-        found.append(eigh_tridiagonal(d, e, eigvals_only=m == grid.n, select=kind,
-                                      select_range=bounds, lapack_driver="stebz",
-                                      tol=1e-12 * (1.0 + abs(Wc.min()))))
-    coarse, (fine, vecs) = found
+    coarse = _grid(grid, grid.n, log_w, W, nev)[2]
+    _, _, fine, vecs, res = _grid(grid, 2 * grid.n, log_w, W, nev, coarse)
     k = min(len(coarse), len(fine))
-    Sv = d[:, None] * vecs
-    Sv[:-1] += e[:, None] * vecs[1:]
-    Sv[1:] += e[:, None] * vecs[:-1]
-    res = np.linalg.norm(Sv - fine * vecs, axis=0)
     return (4 * fine[:k] - coarse[:k]) / 3, res[:k], vecs[:, :k]
 
 
@@ -157,10 +228,12 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
     if grid.variable != "theta":
         raise ParameterError("solve_theta needs a theta grid")
     a, b = L1 + 0.5, L0 + 0.5
-    # cos x as sin(pi/2 - x), exact next to the right wall
-    vals, res, _ = _levels(grid, lambda x: a * np.log(np.sin(x))
-                           + b * np.log(np.sin(np.pi / 2 - x)),
-                           lambda x: np.full_like(x, (a + b) ** 2), nev)
+    try:  # cos x as sin(pi/2 - x), exact next to the right wall
+        vals, res, _ = _levels(grid, lambda x: a * np.log(np.sin(x))
+                               + b * np.log(np.sin(np.pi / 2 - x)),
+                               lambda x: np.full_like(x, (a + b) ** 2), nev)
+    except ParameterError as exc:  # the larger wall exponent overflows
+        raise ParameterError(f"{exc} at " + (f"l1 = {l1}" if L1 >= L0 else f"l0 = {l0}")) from None
     return EigenResult(tuple(vals.tolist()), tuple(res.tolist()))
 
 
@@ -180,8 +253,11 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
     if grid.variable != "xi":
         raise ParameterError("solve_xi needs a xi grid")
     p = math.sqrt(a) + 0.5
-    vals, res, vecs = _levels(grid, lambda x: p * np.log(np.tanh(x)),
-                              lambda x: (p * p + p - L2 ** 2 + 0.25) / np.cosh(x) ** 2 + 0.25)
+    try:
+        vals, res, vecs = _levels(grid, lambda x: p * np.log(np.tanh(x)),
+                                  lambda x: (p * p + p - L2 ** 2 + 0.25) / np.cosh(x) ** 2 + 0.25)
+    except ParameterError as exc:  # the wall exponent p overflows
+        raise ParameterError(f"{exc} at alpha = {alpha}") from None
     bound = int((vals < 0.0).sum())  # ascending, so the bound levels come first
     if bound:
         v = vecs[:, 0] ** 2

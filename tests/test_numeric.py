@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderspec import numeric
 from ladderspec import (GridSpec, ParameterError, ground_full, residual_on_grid,
                         solve_theta, solve_xi)
 
@@ -73,19 +74,30 @@ def xi_case(l2: float = -5.0, alpha: float = 1.0):
             lambda grid: solve_xi(l2, alpha, grid), "xi")
 
 
-def tridiagonal_solves(monkeypatch, solve, grid):
-    """The solver's result and each (d, e, options, eigenvalues) it passes
-    to scipy.linalg.eigh_tridiagonal."""
+def grid_solves(monkeypatch, solve, grid):
+    """The solver's result and each (d, e, levels) that numeric._grid
+    builds and solves, one per grid."""
     calls = []
-    eigh = scipy.linalg.eigh_tridiagonal
+    build = numeric._grid
 
-    def spy(d, e, **kw):
-        out = eigh(d, e, **kw)
-        calls.append((d, e, kw, out if kw["eigvals_only"] else out[0]))
+    def spy(*args, **kw):
+        out = build(*args, **kw)
+        calls.append(out[:3])
         return out
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(numeric, "_grid", spy)
     return solve(grid), calls
+
+
+def dense_levels(m: int, case, length: float) -> np.ndarray:
+    """numpy's dense eigenvalues of the reference matrix on m cells: the 4
+    lowest on theta, every one in (min W - 1, 0] on xi."""
+    w, W, _, variable = case
+    dense = np.linalg.eigvalsh(reference_matrix(m, length, w, W))
+    if variable == "theta":
+        return dense[:4]
+    cells = length / m * (np.arange(m) + 0.5)
+    return dense[(dense > min(map(W, cells)) - 1.0) & (dense <= 0.0)]
 
 
 class TestAssemble:
@@ -104,9 +116,9 @@ class TestAssemble:
     def _check(case, n, monkeypatch):
         w, W, solve, variable = case
         grid = GridSpec(variable, n)
-        _, calls = tridiagonal_solves(monkeypatch, solve, grid)
+        _, calls = grid_solves(monkeypatch, solve, grid)
         assert [len(d) for d, *_ in calls] == [n, 2 * n]
-        for d, e, _, _ in calls:
+        for d, e, _ in calls:
             S = reference_matrix(len(d), grid.length, w, W)
             assert len(e) == len(d) - 1
             np.testing.assert_allclose(d, np.diag(S), rtol=1e-12)
@@ -117,26 +129,117 @@ class TestSolveAgainstDense:
     @pytest.mark.parametrize("n", [64, 200])
     @pytest.mark.parametrize("case", [theta_case, xi_case])
     def test_levels_match_dense_pencil(self, n, case, monkeypatch):
-        # every tridiagonal solve, on n and 2n cells, against numpy's dense
+        # every grid's levels, on n and 2n cells, against numpy's dense
         # eigenvalues of the reference matrix: the nev lowest on theta, every
         # one in (min W - 1, 0] on xi
-        w, W, solve, variable = case()
+        _, _, solve, variable = case()
         grid = GridSpec(variable, n)
-        r, calls = tridiagonal_solves(monkeypatch, solve, grid)
+        r, calls = grid_solves(monkeypatch, solve, grid)
         assert [len(d) for d, *_ in calls] == [n, 2 * n]
-        for d, e, kw, got in calls:
-            dense = np.linalg.eigvalsh(reference_matrix(len(d), grid.length, w, W))
-            if kw["select"] == "i":
-                want = dense[:4]
-            else:
-                cells = grid.length / len(d) * (np.arange(len(d)) + 0.5)
-                lo, hi = kw["select_range"]
-                assert (lo, hi) == (pytest.approx(min(map(W, cells)) - 1.0), 0.0)
-                want = dense[(dense > lo) & (dense <= hi)]
+        for d, _, got in calls:
+            want = dense_levels(len(d), case(), grid.length)
             assert len(want) >= 2
             np.testing.assert_allclose(got, want, rtol=1e-10)
-        coarse, fine = calls[0][3], calls[1][3]
+        coarse, fine = calls[0][2], calls[1][2]
         np.testing.assert_allclose(r.eigenvalues, (4 * fine - coarse) / 3, rtol=1e-15)
+
+    def test_failed_certificate_falls_back_to_bisection(self, monkeypatch, capfd):
+        # at n = 64 the coarse levels of (-15, alpha = 81) are too far from
+        # the fine ones (-2.22 against -0.65) for two rounds of inverse
+        # iteration, so the 128-cell grid is bisected; its levels still
+        # match the dense ones
+        _, _, solve, variable = xi_case(-15, 81.0)
+        bisected = []
+        eigh = scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            lambda d, e, **kw: bisected.append(len(d)) or eigh(d, e, **kw))
+        grid = GridSpec(variable, 64)
+        r, calls = grid_solves(monkeypatch, solve, grid)
+        assert bisected == [128] and capfd.readouterr() == ("", "")
+        for d, _, got in calls:
+            want = dense_levels(len(d), xi_case(-15, 81.0), grid.length)
+            assert len(want) == 3
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+        assert len(r.eigenvalues) == 3
+
+    @pytest.mark.parametrize("guesses", [[-9.0, -24.0, -1.0], [-24.0, -9.0, -9.0], [-24.0, np.nan, -1.0]])
+    def test_guesses_in_any_order_print_nothing(self, guesses, capfd):
+        # LAPACK's dstein rejects unsorted guesses with a message on stdout;
+        # _grid sorts them, and bisects when two repeat or one is not finite
+        grid, p = GridSpec("xi", 200), math.sqrt(81.0) + 0.5
+        _, _, got, vecs, res = numeric._grid(
+            grid, 400, lambda x: p * np.log(np.tanh(x)),
+            lambda x: (p * p + p - 225 + 0.25) / np.cosh(x) ** 2 + 0.25, None, np.array(guesses))
+        assert capfd.readouterr() == ("", "")
+        np.testing.assert_allclose(got, dense_levels(400, xi_case(-15, 81.0), grid.length),
+                                   rtol=1e-10)
+        assert vecs.shape == (400, 3) and (res < 1e-6).all()
+
+
+# Reference: the same finite volumes built and bisected in long double
+# (64-bit mantissa on x86), with a vectorized Sturm count over many shifts.
+LD = np.longdouble
+
+
+def longdouble_matrix(m: int, length: float, log_w, W) -> tuple[np.ndarray, np.ndarray]:
+    h = LD(length) / m
+    faces, cells = h * np.arange(1, m, dtype=LD), h * (np.arange(m, dtype=LD) + LD(0.5))
+    lf, lc = log_w(faces), log_w(cells)
+    d = W(cells) + (np.r_[np.exp(2 * (lf - lc[:-1])), LD(0)]
+                    + np.r_[LD(0), np.exp(2 * (lf - lc[1:]))]) / h ** 2
+    return d, -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
+
+
+def longdouble_count(d, e, x) -> np.ndarray:
+    """The number of levels below each shift x, from the LDL^T pivots."""
+    q, below = d[0] - x, (d[0] - x < 0).astype(int)
+    for di, ei in zip(d[1:], e * e):
+        q = di - x - ei / np.where(q == 0, -np.finfo(LD).tiny, q)
+        below += q < 0
+    return below
+
+
+def longdouble_levels(d, e, k: int, ways: int = 64) -> np.ndarray:
+    """The k lowest levels, each bracket cut into `ways` parts per round."""
+    lo = np.full(k, d.min() - 2 * np.abs(e).max())
+    hi = np.full(k, d.max() + 2 * np.abs(e).max())
+    rows, t = np.arange(k), np.arange(1, ways, dtype=LD) / ways
+    while ((hi - lo) > 1e-17 * np.maximum(1, abs(hi))).any():
+        x = lo[:, None] + (hi - lo)[:, None] * t
+        j = (longdouble_count(d, e, x) <= rows[:, None]).sum(axis=1)
+        lo = np.where(j > 0, x[rows, np.maximum(j - 1, 0)], lo)
+        hi = np.where(j < ways - 1, x[rows, np.minimum(j, ways - 2)], hi)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("variable", ["theta", "xi"])
+def test_levels_match_longdouble_bisection(variable):
+    # theta(0, 0) and xi(-7, alpha = 1) at n = 500: the Richardson values of
+    # the long-double levels of both grids, against the solver's, within the
+    # bisection tolerance 1e-12 (1 + |min W|); tight float bisection of the
+    # float (d, e) was 4.1e-11 off on theta, past the 2e-12 bound
+    grid = GridSpec(variable, 500)
+    if variable == "theta":
+        a = b = LD(0.5)
+        log_w = lambda x: a * np.log(np.sin(x)) + b * np.log(np.sin(LD(math.pi / 2) - x))
+        W = lambda x: np.full_like(x, (a + b) ** 2)
+        got = solve_theta(0, 0, grid).eigenvalues
+    else:
+        p = np.sqrt(LD(1)) + LD(0.5)
+        log_w = lambda x: p * np.log(np.tanh(x))
+        W = lambda x: (p * p + p - LD(49) + LD(0.25)) / np.cosh(x) ** 2 + LD(0.25)
+        got = solve_xi(-7, 1.0, grid).eigenvalues
+    levels, tol = [], 0.0
+    for m in (500, 1000):
+        d, e = longdouble_matrix(m, grid.length, log_w, W)
+        cells = LD(grid.length) / m * (np.arange(m, dtype=LD) + LD(0.5))
+        floor = W(cells).min() - 1
+        k = 3 if variable == "theta" else int(np.diff(longdouble_count(d, e, np.array([floor, LD(0)])))[0])
+        levels.append(longdouble_levels(d, e, k))
+        tol = max(tol, 1e-12 * (1 + abs(float(floor + 1))))
+    want = (4 * levels[1] - levels[0]) / 3
+    assert len(got) == len(want) == 3
+    np.testing.assert_allclose(got, want.astype(float), rtol=0, atol=tol)
 
 
 def check_bound_xi_levels(l2: Fraction, root: Fraction) -> None:
@@ -272,6 +375,11 @@ class TestSolveXi:
         assert abs(r.eigenvalues[-2] + 35 / 4) < 1e-3
         assert abs(r.eigenvalues[-1] + 3 / 4) < 1e-3
 
+    def test_potential_above_one_reports_no_level(self):
+        # on a box of length 1 the channel's W exceeds 1 everywhere, so the
+        # window (min W - 1, 0] is empty; bisecting it was a bare ValueError
+        assert solve_xi(-5, 1e4, GridSpec("xi", 16, cutoff=1.0)).eigenvalues == ()
+
     def test_threshold_channel_reports_no_level(self):
         # b = 20 - 37/2 - 1 = 1/2: the channel's only level is E = 0
         assert solve_xi(-20, 18.5 ** 2, GridSpec("xi", 2000)).eigenvalues == ()
@@ -333,9 +441,10 @@ class TestSolveXi:
 @pytest.mark.parametrize("solve, args, message", [
     (solve_theta, (1e200, 0), r"labels .*got 1e\+200$"),
     (solve_theta, (1e154, 1e154), r"labels .*got 1e\+154$"),  # (1 + l0 + l1)^2 overflows
-    (solve_theta, (0, 600), "inputs too large: the theta matrix overflows"),
+    (solve_theta, (0, 600), "inputs too large: the theta matrix overflows at l1 = 600$"),
     (solve_xi, (-1e200, 1.0), r"labels .*got -1e\+200$"),
     (solve_xi, (-5, 1e300), r"alpha .*got 1e\+300$"),
+    (solve_xi, (-5, 1e6), r"inputs too large: the xi matrix overflows at alpha = 1000000\.0$"),
 ])
 def test_overflowing_input_is_a_parameter_error(solve, args, message):
     """An input whose square or whose matrix leaves the float range raises

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 2001 \
-        --out BENCH_<n>.json
+        --out BENCH_<n>.json [--anchor REV]
 
 The parent revision's committed files are extracted with ``git archive``
 into a temporary directory, which is removed afterwards.  For pair i and
@@ -11,12 +11,16 @@ each workload of BENCHMARK.json, ``perfbench/run.py --workload W --seed
 (seed + i) --seconds S --trace 0``, with S the ``run_seconds`` of
 BENCHMARK.json, runs once in the parent tree and once in the working tree,
 one run at a time; even pairs start with the parent, odd pairs with the
-change.  The output holds, per workload and end-to-end
-metric, both sides' runs with their median and quartiles, the number of
-pairs the change won and the gate's verdict (`verdict`); the failed and
-attempted op counts and whether every run was correct; both git SHAs, the
-Python version and the core count.  The verdicts are also printed, one
-line per workload and metric.
+change.  With ``--anchor REV`` a third tree, a fixed older revision, runs in
+the same alternation (parent, change, anchor; reversed on odd pairs), so
+that drift across several changes shows: each metric then also carries the
+anchor's runs and the change/anchor median ratio (`vs_anchor`), which is
+reported next to the verdict and gates nothing.  The output holds, per
+workload and end-to-end metric, every side's runs with their median and
+quartiles, the number of pairs the change won against the parent and the
+gate's verdict (`verdict`); the failed and attempted op counts and whether
+every run was correct; the git SHAs, the Python version and the core
+count.  The verdicts are also printed, one line per workload and metric.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--anchor", help="older revision run as a third tree; "
+                    "reports change/anchor medians, gates nothing")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
@@ -91,14 +97,19 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    runs = {w: {side: [] for side in SIDES} for w in workloads}
-    # a terminated run still removes its temporary parent tree
+    sides = SIDES + ("anchor",) if args.anchor else SIDES
+    runs = {w: {side: [] for side in sides} for w in workloads}
+    # a terminated run still removes its temporary trees
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        extract(args.parent, root, parent_tree)
-        trees = {"parent": parent_tree, "change": root}
+    with tempfile.TemporaryDirectory(prefix="bench-trees-") as tmp:
+        trees = {"change": root}
+        for side, rev in (("parent", args.parent), ("anchor", args.anchor)):
+            if rev:
+                trees[side] = os.path.join(tmp, side)
+                os.mkdir(trees[side])
+                extract(rev, root, trees[side])
         for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            order = sides if i % 2 == 0 else sides[::-1]
             for w in workloads:
                 for side in order:
                     res = run_once(trees[side], w, args.seed + i, seconds)
@@ -108,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
                         file=sys.stderr, flush=True)
 
     out = {"parent_sha": git("rev-parse", args.parent, cwd=root),
+           "anchor_sha": args.anchor and git("rev-parse", args.anchor, cwd=root),
            "change_sha": git("rev-parse", "HEAD", cwd=root),
            "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no",
                                     cwd=root)),
@@ -119,19 +131,25 @@ def main(argv: list[str] | None = None) -> int:
         entry = {side: {"attempted": sum(r["attempted"] for r in runs[w][side]),
                         "failed": sum(r["failed"] for r in runs[w][side]),
                         "all_correct": all(r["correct"] for r in runs[w][side])}
-                 for side in SIDES}
+                 for side in sides}
         for name, metric in metrics.items():
             vals = {side: [r["metrics"][name]["value"] for r in runs[w][side]]
-                    for side in SIDES}
+                    for side in sides}
             sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
-            entry[name] = {side: summary(vals[side]) for side in SIDES}
+            entry[name] = {side: summary(vals[side]) for side in sides}
             entry[name]["change_wins"] = wins
             v = entry[name]["verdict"] = verdict(entry[name]["parent"], entry[name]["change"],
                                                  metric["better"], metric["bound"])
+            drift = ""
+            if args.anchor:
+                a = entry[name]["anchor"]
+                entry[name]["vs_anchor"] = {"ratio": entry[name]["change"]["median"] / a["median"],
+                                            "anchor_iqr_share": a["iqr"] / a["median"]}
+                drift = f"; change/anchor {entry[name]['vs_anchor']['ratio']:.3f}"
             print(f"{w} {name}: ratio {v['ratio']:.3f}, parent IQR "
                   f"{v['parent_iqr_share']:.1%} of median, bound {v['bound']:.0%}: "
-                  f"{v['verdict']}")
+                  f"{v['verdict']}{drift}")
         out["workloads"][w] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
