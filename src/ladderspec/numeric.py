@@ -14,12 +14,13 @@ certifies each value to the bisection tolerance; a grid whose certificate
 fails is bisected as before.  The quotient is the more exact: a Sturm count
 on the matrix entries is good only to about eps max|d|, because the low
 levels cancel d against 2|e| (Kahan, Accurate eigenvalues of a symmetric
-tri-diagonal matrix, 1966), and tight bisection of theta(0, 0) at n = 2000
-was up to 7.4e-10 off a long-double bisection of the same matrices, where
-the quotient is 7e-13 off.  The scheme is second order; each solve runs on n
-and 2n cells and reports the Richardson values.  Only the indicial exponents of the differential
-equation enter; no spectral data from the operator algebra is used, which
-keeps this module an independent oracle.
+tri-diagonal matrix, 1966): at n = 2000 the Richardson values of
+theta(0, 0) from tight bisection were up to 7.4e-10 off those of a
+long-double bisection of the same discretization, and from the quotients
+they are 7e-13 off.  The scheme is second order; each solve runs on n and
+2n cells and reports the Richardson values.  Only the indicial exponents of
+the differential equation enter; no spectral data from the operator algebra
+is used, which keeps this module an independent oracle.
 
 The radial equation in xi carries a first-derivative term; the similarity
 transform u = sinh(xi)^(1/2) g removes it and shifts the eigenvalue by

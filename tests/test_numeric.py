@@ -162,7 +162,8 @@ class TestSolveAgainstDense:
             np.testing.assert_allclose(got, want, rtol=1e-10)
         assert len(r.eigenvalues) == 3
 
-    @pytest.mark.parametrize("guesses", [[-9.0, -24.0, -1.0], [-24.0, -9.0, -9.0], [-24.0, np.nan, -1.0]])
+    @pytest.mark.parametrize("guesses", [[-9.0, -24.0, -1.0], [-24.0, -9.0, -9.0],
+                                         [-24.0, np.nan, -1.0]])
     def test_guesses_in_any_order_print_nothing(self, guesses, capfd):
         # LAPACK's dstein rejects unsorted guesses with a message on stdout;
         # _grid sorts them, and bisects when two repeat or one is not finite
@@ -234,7 +235,8 @@ def test_levels_match_longdouble_bisection(variable):
         d, e = longdouble_matrix(m, grid.length, log_w, W)
         cells = LD(grid.length) / m * (np.arange(m, dtype=LD) + LD(0.5))
         floor = W(cells).min() - 1
-        k = 3 if variable == "theta" else int(np.diff(longdouble_count(d, e, np.array([floor, LD(0)])))[0])
+        window = longdouble_count(d, e, np.array([floor, LD(0)]))
+        k = 3 if variable == "theta" else int(window[1] - window[0])
         levels.append(longdouble_levels(d, e, k))
         tol = max(tol, 1e-12 * (1 + abs(float(floor + 1))))
     want = (4 * levels[1] - levels[0]) / 3
