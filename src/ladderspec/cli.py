@@ -168,24 +168,26 @@ def cmd_crosscheck(args) -> int:
     target = report.target
     # separation constants from the angular ladder, at most 65 channels;
     # channels stop binding once sqrt(alpha) clears the well depth
-    numeric_hits: list[float] = []
+    numeric_hits: list[tuple[float, float, float]] = []  # (level, error bar, residual)
     for n_ch in range(65):
         alpha = float((1 + target.l0 + target.l1 + 2 * n_ch)) ** 2
         res = numeric.solve_xi(target.l2, alpha, grid)
         if not res.eigenvalues:
             break
-        numeric_hits.extend(res.eigenvalues)
+        numeric_hits.extend(zip(res.eigenvalues, res.errors, res.residual_norms))
     rows = []
     worst = 0.0
     for lv in report.levels:
         e_alg = float(lv.energy)
-        close = [e for e in numeric_hits if abs(e - e_alg) < 0.25]
+        close = [hit for hit in numeric_hits if abs(hit[0] - e_alg) < 0.25]
         # a level without a numeric partner is written as null and fails
-        e_num = min(close, key=lambda e: abs(e - e_alg)) if close else None
+        e_num, err, resid = (min(close, key=lambda hit: abs(hit[0] - e_alg))
+                             if close else (None,) * 3)
         delta = abs(e_num - e_alg) if close else None
         worst = math.inf if delta is None else max(worst, delta)
         rows.append({"energy": str(lv.energy), "energy_float": e_alg,
                      "numeric": e_num, "abs_diff": delta,
+                     "numeric_err": err, "residual_norm": resid,
                      "degeneracy": lv.degeneracy,
                      "numeric_multiplicity": len(close)})
     doc = {

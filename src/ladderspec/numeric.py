@@ -7,20 +7,25 @@ u = w g, with a bounded W.  Both solvers discretize that form on uniform
 cells with no flux through either end, which after a diagonal scaling by w
 is one symmetric tridiagonal matrix.  Inverse iteration (LAPACK dstein)
 gives each level's vector, and the level is its Rayleigh quotient in flux
-form.  Sturm counts (dstebz) fix each level's index and the number of levels
-in an interval, exactly by Sylvester's law of inertia (Parlett, The Symmetric
-Eigenvalue Problem, 3.3), and the Kato-Temple bound r^2/sep on the residual
-certifies each value to the bisection tolerance; a grid whose certificate
-fails is bisected as before.  The quotient is the more exact: a Sturm count
-on the matrix entries is good only to about eps max|d|, because the low
-levels cancel d against 2|e| (Kahan, Accurate eigenvalues of a symmetric
+form.  One Sturm count (dstebz) per level certifies the k levels of a grid:
+a count at each midpoint between neighbouring quotients and one above the
+top put exactly one level between consecutive midpoints, at its index, by
+Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue Problem, 3.3),
+and the Kato-Temple bound on that interval puts it within the bisection
+tolerance of its quotient (_grid).  A grid whose certificate fails is
+bisected instead.  The quotient is the more exact: a Sturm count on the
+matrix entries is good only to about eps max|d|, because the low levels
+cancel d against 2|e| (Kahan, Accurate eigenvalues of a symmetric
 tri-diagonal matrix, 1966): at n = 2000 the Richardson values of
 theta(0, 0) from tight bisection were up to 7.4e-10 off those of a
 long-double bisection of the same discretization, and from the quotients
-they are 7e-13 off.  The scheme is second order; each solve runs on n and
-2n cells and reports the Richardson values.  Only the indicial exponents of
-the differential equation enter; no spectral data from the operator algebra
-is used, which keeps this module an independent oracle.
+they are 7e-13 off.  Inverse iteration on the n-cell grid starts from a
+loose bisection of the same problem on n/4 cells, and on the 2n-cell grid
+from the n-cell levels.  The scheme is second order; each solve reports the
+Richardson values of the n- and 2n-cell levels and, per level, the error
+bar |E_2n - E_n|/3 plus the tolerance.  Only the indicial exponents of the
+differential equation enter; no spectral data from the operator algebra is
+used, which keeps this module an independent oracle.
 
 The radial equation in xi carries a first-derivative term; the similarity
 transform u = sinh(xi)^(1/2) g removes it and shifts the eigenvalue by
@@ -101,36 +106,23 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EigenResult:
+    """The Richardson values of the levels, the fine grid's residuals
+    |S u - E u| and each level's error bar |E_2n - E_n|/3 + tol (_levels)."""
     eigenvalues: tuple[float, ...]
     residual_norms: tuple[float, ...]
+    errors: tuple[float, ...]
 
 
-def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
-          W: Callable[[np.ndarray], np.ndarray], nev: Optional[int] = None,
-          guesses: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
-    """The matrix (d, e) on m cells, its levels, their unit vectors and
-    residuals |S v - E v|: the nev lowest, or with nev None every level in
-    (min W - 1, 0]; the flux part is positive semidefinite, so no level lies
-    below min W.
+def _tolerance(Wc: np.ndarray) -> float:
+    """The bisection tolerance 1e-12 (1 + |min W|) of a grid, W at its cells."""
+    return 1e-12 * (1.0 + abs(Wc.min()))
 
-    Inverse iteration (dstein) from the guesses, or without them from one
-    bisection (dstebz) to the loose tolerance 1e-4 (1 + |min W|), gives each
-    unit vector v.  Its level rho is the Rayleigh quotient in flux form,
-    (sum over faces of (v_i w_f/w_i - v_(i+1) w_f/w_(i+1))^2/h^2
-    + sum W_i v_i^2) / sum v_i^2, a sum of squares in which d does not cancel
-    against 2|e|.  A level is accepted when r^2/sep, with r = |S v - rho v|
-    and sep its distance to the nearest other level, is at most the
-    bisection tolerance 1e-12 (1 + |min W|) (Kato-Temple), and when Sturm
-    counts at rho -+ delta, with delta = 8 eps (max|d| + 2 max|e|) the
-    count's own error, put it at its index.  On theta a count also shows
-    that no level lies within the top gap above the top level; on xi the
-    count in the window is the number of levels.  A grid that fails any
-    check, after one more round from the quotients, is bisected to the
-    tight tolerance instead (eigh_tridiagonal, dstebz and stein).
-    """
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dstebz, dstein
 
+def _matrix(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
+            W: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(d, e) of the finite volumes on m cells, and the logs of w at the
+    interior faces and the cell centres and W at the centres, which build
+    it; an entry beyond the float range is inf or nan."""
     h = grid.length / m
     faces, cells = h * np.arange(1, m), h * (np.arange(m) + 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -138,9 +130,67 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
         d = Wc + (np.r_[np.exp(2 * (lf - lc[:-1])), 0.0]
                   + np.r_[0.0, np.exp(2 * (lf - lc[1:]))]) / h ** 2
         e = -np.exp(2 * lf - lc[:-1] - lc[1:]) / h ** 2
+    return d, e, lf, lc, Wc
+
+
+def _loose(d: np.ndarray, e: np.ndarray, Wc: np.ndarray, nev: Optional[int]) -> np.ndarray:
+    """One bisection (dstebz) of (d, e) to the loose tolerance
+    1e-4 (1 + |min W|): the nev lowest levels, or with nev None every level
+    in (min W - 1, 0]."""
+    from scipy.linalg.lapack import dstebz
+
+    floor = Wc.min() - 1
+    if nev is None and floor >= 0:
+        return np.empty(0)
+    select = (1, floor, 0.0, 1, 1) if nev is None else (2, 0.0, 0.0, 1, min(nev, len(d)))
+    found, w = dstebz(d, e, *select, 1e-4 * (1.0 + abs(Wc.min())), b"E")[:2]
+    return w[:found]
+
+
+def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
+          W: Callable[[np.ndarray], np.ndarray], nev: Optional[int] = None,
+          guesses: Optional[np.ndarray] = None,
+          seeded: bool = False) -> tuple[np.ndarray, ...]:
+    """The matrix (d, e) on m cells (_matrix), its k levels, their unit
+    vectors and residuals |S v - E v|: the nev lowest, or with nev None every
+    level in (min W - 1, 0]; the flux part is positive semidefinite, so no
+    level lies below min W.
+
+    Inverse iteration (dstein) from the guesses gives each unit vector v.
+    Its level rho is the Rayleigh quotient in flux form,
+    (sum over faces of (v_i w_f/w_i - v_(i+1) w_f/w_(i+1))^2/h^2
+    + sum W_i v_i^2) / sum v_i^2, a sum of squares in which d does not cancel
+    against 2|e|.  The levels are certified with k Sturm counts (dstebz),
+    where r_i = |S v_i - rho_i v_i|, delta = 8 eps (max|d| + 2 max|e|) is
+    the error of a count and tol = 1e-12 (1 + |min W|) the bisection
+    tolerance.  Put mu_i = (rho_i + rho_(i+1))/2 between neighbours,
+    mu_(-1) = -inf, and above the top mu_(k-1) = 2 rho_(k-1) - rho_(k-2) on
+    theta (rho_(-1) = min W - 1; +inf when k = m) and 0 on xi.  The grid is
+    accepted when
+      1. each [rho_i - r_i, rho_i + r_i] lies in (mu_(i-1) + delta, mu_i - delta),
+      2. count(mu_i) = i + 1 for every i, and
+      3. r_i^2 <= tol min(rho_i - mu_(i-1) + delta, mu_i - delta - rho_i).
+    A float count at x lies between the exact counts at x - delta and
+    x + delta, and a level lies within r_i of rho_i.  So 1 and 2 leave
+    exactly one level in (mu_(i-1) - delta, mu_i - delta), and its index is
+    i; 3 is the Kato-Temple bound on that interval, which puts the level
+    within tol of rho_i (Parlett, The Symmetric Eigenvalue Problem).  On xi
+    the count at mu_(k-1) = 0 is the one that fixes k.
+
+    Each start gets two rounds of inverse iteration: from its values, then
+    from the quotients of the first round.  The start is the guesses, or
+    without them one loose bisection of this grid (_loose); seeded guesses,
+    the levels of a coarser grid, are followed by that bisection when both
+    their rounds fail.  A grid that fails every round is bisected to tol
+    instead (eigh_tridiagonal, dstebz and stein).
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
+
+    d, e, lf, lc, Wc = _matrix(grid, m, log_w, W)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ParameterError(f"inputs too large: the {grid.variable} matrix overflows")
-    floor, tol = Wc.min() - 1, 1e-12 * (1.0 + abs(Wc.min()))
+    h, floor, tol = grid.length / m, Wc.min() - 1, _tolerance(Wc)
 
     def count(x: float) -> int:  # levels in (floor, x]; an infinite tolerance bisects nothing
         return dstebz(d, e, 1, floor, x, 0, 0, np.inf, b"E")[0] if x > floor else 0
@@ -151,12 +201,7 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
         Sv[1:] += e[:, None] * vecs[:-1]
         return np.linalg.norm(Sv - vals * vecs, axis=0)
 
-    # on xi without guesses, the loose bisection counts the levels
-    k = min(nev, m) if nev is not None else count(0.0) if guesses is not None else 0
-    if guesses is None and (nev is not None or floor < 0):
-        select = (1, floor, 0.0, 1, 1) if nev is None else (2, 0.0, 0.0, 1, k)
-        found, w = dstebz(d, e, *select, 1e-4 * (1.0 + abs(Wc.min())), b"E")[:2]
-        guesses, k = w[:found], found if nev is None else k
+    k = min(nev, m) if nev is not None else count(0.0)  # on xi the count at 0
     if not k:
         return d, e, np.empty(0), np.empty((m, 0)), np.empty(0)
     delta = 8 * np.finfo(float).eps * (np.abs(d).max() + 2 * np.abs(e).max())
@@ -174,16 +219,20 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
         rho = (flux.sum(axis=0) / h ** 2 + (Wc[:, None] * z2).sum(axis=0)) / z2.sum(axis=0)
         r = residuals(rho, z)
         top = 0.0 if nev is None else np.inf if k == m else 2 * rho[-1] - np.r_[floor, rho][-2]
-        gaps = np.diff(np.r_[-np.inf, rho, top])
-        ok = (info == 0 and (r * r <= tol * (np.minimum(gaps[:-1], gaps[1:]) - delta)).all()
-              and all(count(x - delta) == i and count(x + delta) == i + 1
-                      for i, x in enumerate(rho))
-              and (nev is None or top == np.inf or count(top) == k))
+        mu = np.r_[(rho[:-1] + rho[1:]) / 2, top]
+        below = np.r_[-np.inf, mu[:-1]]
+        counted = mu if nev is not None and top < np.inf else mu[:-1]
+        ok = (info == 0 and (below + delta < rho - r).all() and (rho + r < mu - delta).all()
+              and (r * r <= tol * np.minimum(rho - below + delta, mu - delta - rho)).all()
+              and all(count(x) == i for i, x in enumerate(counted, 1)))
         return (rho, z, r), ok
 
-    found, ok = certify(guesses)
-    if found is not None and not ok:
-        found, ok = certify(found[0])
+    for start in (guesses, None) if seeded else (guesses,):
+        found, ok = certify(_loose(d, e, Wc, nev) if start is None else start)
+        if found is not None and not ok:
+            found, ok = certify(found[0])
+        if ok:
+            break
     if not ok:
         kind, bounds = ("v", (floor, 0.0)) if nev is None else ("i", (0, k - 1))
         vals, vecs = eigh_tridiagonal(d, e, select=kind, select_range=bounds,
@@ -194,22 +243,34 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
 
 def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
             W: Callable[[np.ndarray], np.ndarray],
-            nev: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            nev: Optional[int] = None) -> tuple[np.ndarray, ...]:
     """Levels of -u'' + V u = E u, V = W + w''/w, on grid.n and 2 grid.n cells.
 
     With u = w g the equation reads -(w^2 g')' + W w^2 g = E w^2 g.  Cell-
     centred finite volumes with no flux through either end, scaled by w at
     the cell centres, give a symmetric tridiagonal S whose entries take w
-    only in logs and only at interior faces and centres (_grid).  The coarse
-    grid's levels are the fine grid's guesses.  Returns the Richardson values
-    (4 E_2n - E_n)/3 of the levels both grids report, the residuals
-    |S u - E u| of the fine unit eigenpairs, and their vectors, which sample
-    u = w g at the fine cell centres.
+    only in logs and only at interior faces and centres (_matrix).  The
+    seeds of the n-cell grid are a loose bisection of the same problem on
+    n/4 cells, built here so that _grid solves only the n- and 2n-cell
+    grids; the n-cell grid's levels are the 2n-cell grid's guesses.  Returns
+    the Richardson values (4 E_2n - E_n)/3 of the levels both grids report,
+    the residuals |S u - E u| of the fine unit eigenpairs, the error bars
+    |E_2n - E_n|/3 + tol, with tol the fine grid's bisection tolerance, and
+    the fine vectors, which sample u = w g at the fine cell centres.  The
+    bar is the Richardson correction, the error of E_2n to leading order,
+    which bounds the error of the Richardson value while its O(h^4)
+    remainder is smaller, plus what the certificates allow; it is an
+    estimate, not a bound, on a grid too coarse for that.
     """
-    coarse = _grid(grid, grid.n, log_w, W, nev)[2]
+    d, e, _, _, Wc = _matrix(grid, grid.n // 4, log_w, W)
+    finite = np.isfinite(d).all() and np.isfinite(e).all()
+    seeds = _loose(d, e, Wc, nev) if finite else np.empty(0)
+    coarse = _grid(grid, grid.n, log_w, W, nev, seeds, seeded=True)[2]
     _, _, fine, vecs, res = _grid(grid, 2 * grid.n, log_w, W, nev, coarse)
     k = min(len(coarse), len(fine))
-    return (4 * fine[:k] - coarse[:k]) / 3, res[:k], vecs[:, :k]
+    tol = _tolerance(W(grid.length / (2 * grid.n) * (np.arange(2 * grid.n) + 0.5)))
+    return ((4 * fine[:k] - coarse[:k]) / 3, res[:k],
+            np.abs(fine[:k] - coarse[:k]) / 3 + tol, vecs[:, :k])
 
 
 def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
@@ -230,12 +291,12 @@ def solve_theta(l0: RationalLike | float, l1: RationalLike | float,
         raise ParameterError("solve_theta needs a theta grid")
     a, b = L1 + 0.5, L0 + 0.5
     try:  # cos x as sin(pi/2 - x), exact next to the right wall
-        vals, res, _ = _levels(grid, lambda x: a * np.log(np.sin(x))
-                               + b * np.log(np.sin(np.pi / 2 - x)),
-                               lambda x: np.full_like(x, (a + b) ** 2), nev)
+        *found, _ = _levels(grid, lambda x: a * np.log(np.sin(x))
+                            + b * np.log(np.sin(np.pi / 2 - x)),
+                            lambda x: np.full_like(x, (a + b) ** 2), nev)
     except ParameterError as exc:  # the larger wall exponent overflows
         raise ParameterError(f"{exc} at " + (f"l1 = {l1}" if L1 >= L0 else f"l0 = {l0}")) from None
-    return EigenResult(tuple(vals.tolist()), tuple(res.tolist()))
+    return EigenResult(*(tuple(x.tolist()) for x in found))
 
 
 def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenResult:
@@ -255,18 +316,18 @@ def solve_xi(l2: RationalLike | float, alpha: float, grid: GridSpec) -> EigenRes
         raise ParameterError("solve_xi needs a xi grid")
     p = math.sqrt(a) + 0.5
     try:
-        vals, res, vecs = _levels(grid, lambda x: p * np.log(np.tanh(x)),
-                                  lambda x: (p * p + p - L2 ** 2 + 0.25) / np.cosh(x) ** 2 + 0.25)
+        *found, vecs = _levels(grid, lambda x: p * np.log(np.tanh(x)),
+                               lambda x: (p * p + p - L2 ** 2 + 0.25) / np.cosh(x) ** 2 + 0.25)
     except ParameterError as exc:  # the wall exponent p overflows
         raise ParameterError(f"{exc} at alpha = {alpha}") from None
-    bound = int((vals < 0.0).sum())  # ascending, so the bound levels come first
+    bound = int((found[0] < 0.0).sum())  # ascending, so the bound levels come first
     if bound:
         v = vecs[:, 0] ** 2
         tail = float(v[int(0.95 * len(v)):].sum() / v.sum())
         if tail > 1e-8:
             warnings.warn(f"cutoff {grid.cutoff} clips the ground eigenfunction "
                           f"(tail mass {tail:.2e})", TruncationWarning)
-    return EigenResult(tuple(vals[:bound].tolist()), tuple(res[:bound].tolist()))
+    return EigenResult(*(tuple(x[:bound].tolist()) for x in found))
 
 
 # Fixed window for sup-norm residuals: fractional wall exponents make high

@@ -392,6 +392,19 @@ class TestCrosscheck:
         assert (code, out) == (2, "")
         assert "cutoff" in err and "1e+308" in err
 
+    def test_rows_carry_the_error_bar_and_residual(self, capsys):
+        # the bar |E_2n - E_n|/3 + tol of the matched level covers its error
+        # on the default grid; an unmatched level has neither field
+        code, out, _ = run_cli(capsys, "crosscheck", "--l0=0", "--l1=0", "--l2=-5")
+        assert code == 0
+        for lv in json.loads(out)["levels"]:
+            assert 0 < lv["abs_diff"] <= lv["numeric_err"] < 1e-3
+            assert 0 <= lv["residual_norm"] < 1e-8
+        code, out, _ = run_cli(capsys, "crosscheck", "--l0=1", "--l1=1", "--l2=-6",
+                               "--grid", "16")
+        level = json.loads(out)["levels"][0]
+        assert level["numeric_err"] is None and level["residual_norm"] is None
+
     def test_unmatched_level_is_strict_json_null(self, capsys):
         # 16 cells bind no level near -15/4; the output must still be strict JSON
         code, out, _ = run_cli(capsys, "crosscheck", "--l0", "1", "--l1", "1",

@@ -177,6 +177,78 @@ class TestSolveAgainstDense:
         assert vecs.shape == (400, 3) and (res < 1e-6).all()
 
 
+def theta_problem(l0: float = 0.0, l1: float = 0.0):
+    """(log w, W) of solve_theta at (l0, l1)."""
+    a, b = l1 + 0.5, l0 + 0.5
+    return (lambda x: a * np.log(np.sin(x)) + b * np.log(np.sin(np.pi / 2 - x)),
+            lambda x: np.full_like(x, (a + b) ** 2))
+
+
+def lapack_calls(monkeypatch):
+    """Lists that record, per call, the matrix size of each Sturm count
+    (dstebz with an infinite tolerance), loose bisection (dstebz),
+    inverse iteration (dstein) and tight bisection (eigh_tridiagonal)."""
+    calls = {"count": [], "loose": [], "dstein": [], "tight": []}
+    lapack, eigh = scipy.linalg.lapack, scipy.linalg.eigh_tridiagonal
+    stebz, stein = lapack.dstebz, lapack.dstein
+
+    def spy_stebz(d, e, *args):
+        calls["count" if args[5] == np.inf else "loose"].append(len(d))
+        return stebz(d, e, *args)
+
+    monkeypatch.setattr(lapack, "dstebz", spy_stebz)
+    monkeypatch.setattr(lapack, "dstein",
+                        lambda d, *a: calls["dstein"].append(len(d)) or stein(d, *a))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e, **kw: calls["tight"].append(len(d)) or eigh(d, e, **kw))
+    return calls
+
+
+class TestCertificate:
+    def test_quotients_at_the_wrong_index_are_rejected(self, monkeypatch):
+        # guesses near the levels 1 and 25 of theta(0, 0), the first and the
+        # third: inverse iteration converges to them, and their quotients
+        # pass the Kato-Temple test, but the count between them is 2, not 1
+        calls = lapack_calls(monkeypatch)
+        grid = GridSpec("theta", 200)
+        log_w, W = theta_problem()
+        _, _, got, vecs, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]))
+        assert calls["dstein"] == [200, 200] and calls["tight"] == [200]
+        want = dense_levels(200, theta_case(0, 0), grid.length)[:2]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        assert vecs.shape == (200, 2)
+
+    def test_failed_seeds_restart_from_a_loose_bisection(self, monkeypatch):
+        # seeds at the wrong index fail twice, as their quotients are the
+        # same levels; the grid then certifies the levels of its own loose
+        # bisection in one round, with no tight bisection
+        calls = lapack_calls(monkeypatch)
+        grid = GridSpec("theta", 200)
+        log_w, W = theta_problem()
+        _, _, got, _, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]),
+                                        seeded=True)
+        assert calls["dstein"] == [200, 200, 200] and calls["loose"] == [200]
+        assert calls["tight"] == []
+        want = dense_levels(200, theta_case(0, 0), grid.length)[:2]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", [theta_case, xi_case])
+    def test_certified_grids_take_k_counts(self, case, monkeypatch):
+        # one round of inverse iteration per grid and k Sturm counts, the
+        # count at 0 that fixes k on xi included; the n-cell grid's seeds
+        # come from the one loose bisection, of the grid of n/4 cells
+        _, _, solve, variable = case()
+        calls = lapack_calls(monkeypatch)
+        r, solves = grid_solves(monkeypatch, solve, GridSpec(variable, 1000))
+        assert [len(d) for d, *_ in solves] == [1000, 2000]
+        assert calls["loose"] == [250] and calls["tight"] == []
+        assert calls["dstein"] == [1000, 2000]
+        k = [len(levels) for *_, levels in solves]
+        assert k == ([4, 4] if variable == "theta" else [2, 2])
+        assert calls["count"] == [1000] * k[0] + [2000] * k[1]
+        assert len(r.eigenvalues) == k[1]
+
+
 # Reference: the same finite volumes built and bisected in long double
 # (64-bit mantissa on x86), with a vectorized Sturm count over many shifts.
 LD = np.longdouble
@@ -438,6 +510,40 @@ class TestSolveXi:
         from ladderspec import TruncationWarning
         with pytest.warns(TruncationWarning):
             solve_xi(-5, 1.0, GridSpec("xi", 400, cutoff=2.0))
+
+
+# the numeric-oracle label box: l0 and l1 from L01, l2 from L2
+ORACLE_L01 = tuple(Fraction(k, 2) for k in range(5))
+ORACLE_L2 = tuple(map(Fraction, ("-5", "-6", "-7", "-15/2", "-9")))
+
+
+class TestErrorBars:
+    def test_theta_bars_cover_the_exact_error(self):
+        grid = GridSpec("theta", 2000)
+        for l0 in ORACLE_L01:
+            for l1 in ORACLE_L01:
+                r = solve_theta(l0, l1, grid)
+                assert len(r.errors) == len(r.eigenvalues) == 3
+                for n, (got, err) in enumerate(zip(r.eigenvalues, r.errors)):
+                    assert type(err) is float and err > 0
+                    assert abs(got - float((1 + l0 + l1 + 2 * n) ** 2)) <= err
+
+    def test_xi_bars_cover_the_exact_error(self):
+        # every channel sqrt(alpha) = 1 + l0 + l1 + 2n of the box that binds;
+        # its levels are 1/4 - b^2, b = -l2 - sqrt(alpha) - 1 - 2k > 1/2, and
+        # a level at the threshold b = 1/2 is left out
+        grid, checked = GridSpec("xi", 2000), 0
+        for l2 in ORACLE_L2:
+            for root in sorted({1 + l0 + l1 for l0 in ORACLE_L01 for l1 in ORACLE_L01}):
+                while (r := solve_xi(l2, float(root) ** 2, grid)).eigenvalues:
+                    assert len(r.errors) == len(r.eigenvalues)
+                    b = [-l2 - root - 1 - 2 * k for k in range(len(r.eigenvalues))]
+                    for got, err, x in zip(r.eigenvalues, r.errors, b):
+                        if x > Fraction(1, 2):
+                            assert abs(got - float(Fraction(1, 4) - x * x)) <= err
+                            checked += 1
+                    root += 2
+        assert checked > 100
 
 
 @pytest.mark.parametrize("solve, args, message", [

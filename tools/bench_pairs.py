@@ -18,9 +18,14 @@ anchor's runs and the change/anchor median ratio (`vs_anchor`), which is
 reported next to the verdict and gates nothing.  The output holds, per
 workload and end-to-end metric, every side's runs with their median and
 quartiles, the number of pairs the change won against the parent and the
-gate's verdict (`verdict`); the failed and attempted op counts and whether
-every run was correct; the git SHAs, the Python version and the core
-count.  The verdicts are also printed, one line per workload and metric.
+gate's verdict (`verdict`); per workload, every side's untraced pass counts
+(read from the "passes N untraced" line of run.py) with their median and
+quartiles and the change/parent median ratio (`pass_ratio`); the failed and
+attempted op counts and whether every run was correct; the git SHAs, the
+Python version and the core count.  The verdicts are also printed, one
+line per workload and metric, and the pass ratio next to the `peak_rss_mb`
+verdict: the worker keeps each pass's output, so a run that makes more
+passes reads a higher peak RSS.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -36,6 +42,7 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+PASSES = re.compile(r"passes (\d+) untraced")
 
 
 def git(*args: str, cwd: str | None = None) -> str:
@@ -51,12 +58,15 @@ def extract(rev: str, root: str, dest: str) -> None:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced benchmark run in `tree`."""
+    """The final JSON line of one untraced benchmark run in `tree`, with its
+    number of untraced passes under "passes"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
                          text=True, stdin=subprocess.DEVNULL)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    res["passes"] = int(PASSES.search(out.stdout).group(1))
+    return res
 
 
 def summary(values: list[float]) -> dict:
@@ -115,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
                     res = run_once(trees[side], w, args.seed + i, seconds)
                     runs[w][side].append(res)
                     print(f"pair {i} {w} {side}: " + ", ".join(
-                        f"{k} {v['value']:.4g}" for k, v in res["metrics"].items()),
+                        f"{k} {v['value']:.4g}" for k, v in res["metrics"].items())
+                        + f", passes {res['passes']}",
                         file=sys.stderr, flush=True)
 
     out = {"parent_sha": git("rev-parse", args.parent, cwd=root),
@@ -132,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
                         "failed": sum(r["failed"] for r in runs[w][side]),
                         "all_correct": all(r["correct"] for r in runs[w][side])}
                  for side in sides}
+        passes = {side: summary([r["passes"] for r in runs[w][side]]) for side in sides}
+        entry["passes"] = dict(passes, pass_ratio=passes["change"]["median"]
+                               / passes["parent"]["median"])
         for name, metric in metrics.items():
             vals = {side: [r["metrics"][name]["value"] for r in runs[w][side]]
                     for side in sides}
@@ -141,15 +155,17 @@ def main(argv: list[str] | None = None) -> int:
             entry[name]["change_wins"] = wins
             v = entry[name]["verdict"] = verdict(entry[name]["parent"], entry[name]["change"],
                                                  metric["better"], metric["bound"])
-            drift = ""
+            notes = ""
             if args.anchor:
                 a = entry[name]["anchor"]
                 entry[name]["vs_anchor"] = {"ratio": entry[name]["change"]["median"] / a["median"],
                                             "anchor_iqr_share": a["iqr"] / a["median"]}
-                drift = f"; change/anchor {entry[name]['vs_anchor']['ratio']:.3f}"
+                notes = f"; change/anchor {entry[name]['vs_anchor']['ratio']:.3f}"
+            if name == "peak_rss_mb":
+                notes += f"; passes change/parent {entry['passes']['pass_ratio']:.3f}"
             print(f"{w} {name}: ratio {v['ratio']:.3f}, parent IQR "
                   f"{v['parent_iqr_share']:.1%} of median, bound {v['bound']:.0%}: "
-                  f"{v['verdict']}{drift}")
+                  f"{v['verdict']}{notes}")
         out["workloads"][w] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
