@@ -148,9 +148,8 @@ def _loose(d: np.ndarray, e: np.ndarray, Wc: np.ndarray, nev: Optional[int]) -> 
 
 
 def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
-          W: Callable[[np.ndarray], np.ndarray], nev: Optional[int] = None,
-          guesses: Optional[np.ndarray] = None,
-          seeded: bool = False) -> tuple[np.ndarray, ...]:
+          W: Callable[[np.ndarray], np.ndarray], nev: Optional[int],
+          guesses: np.ndarray, seeded: bool = False) -> tuple[np.ndarray, ...]:
     """The matrix (d, e) on m cells (_matrix), its k levels, their unit
     vectors and residuals |S v - E v|: the nev lowest, or with nev None every
     level in (min W - 1, 0]; the flux part is positive semidefinite, so no
@@ -178,11 +177,11 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
     the count at mu_(k-1) = 0 is the one that fixes k.
 
     Each start gets two rounds of inverse iteration: from its values, then
-    from the quotients of the first round.  The start is the guesses, or
-    without them one loose bisection of this grid (_loose); seeded guesses,
-    the levels of a coarser grid, are followed by that bisection when both
-    their rounds fail.  A grid that fails every round is bisected to tol
-    instead (eigh_tridiagonal, dstebz and stein).
+    from the quotients of the first round.  The start is the guesses;
+    seeded guesses, the levels of a coarser grid, are followed by one loose
+    bisection of this grid (_loose) when both their rounds fail.  A grid
+    that fails every round is bisected to tol instead (eigh_tridiagonal,
+    dstebz and stein).
     """
     from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dstebz, dstein
