@@ -37,7 +37,8 @@ X = cos^2, Y = sin^2 the canonical trig factors of a class are X^P (P in Z)
 or Y^-k (k >= 1); with T = sinh^2, R = cosh^2 the canonical hyperbolic
 factors are T^S (S in Z) or R^-k (k >= 1).  The reduction tables
 `_trig_table` and `_hyp_table` expand any offset pair into canonical factors
-in closed form, with integer coefficients.  This makes structural equality
+in closed form, with integer coefficients, and `_canonical` caches their
+product per offsets tuple for `_expand`.  This makes structural equality
 of normalized expressions coincide with equality of functions.  That is what
 allows operator identities to be verified as literally empty residuals.
 The term order is stated once, in `_class_terms`: (class, offsets,
@@ -242,17 +243,22 @@ def _hyp_table(R: int, S: int) -> tuple[tuple[int, int, int], ...]:
                  for c, U, Rp in _trig_table(S, R))
 
 
+@lru_cache(maxsize=None)
+def _canonical(P: int, Q: int, R: int, S: int) -> tuple[tuple[int, Offsets], ...]:
+    """X^P Y^Q R^R T^S as (weight, canonical offsets) pairs: the product of
+    `_trig_table` and `_hyp_table`, trig terms outer."""
+    hyp = _hyp_table(R, S)
+    return tuple((ct * ch, (P2, Q2, R2, S2))
+                 for ct, P2, Q2 in _trig_table(P, Q) for ch, R2, S2 in hyp)
+
+
 def _expand(acc: dict[Offsets, Fraction | int], P: int, Q: int, R: int, S: int,
             c: Fraction | int) -> None:
     """Add c X^P Y^Q R^R T^S of one class to `acc` in canonical offsets."""
-    hyp = _hyp_table(R, S)
-    for ct, P2, Q2 in _trig_table(P, Q):
-        for ch, R2, S2 in hyp:
-            k = (P2, Q2, R2, S2)
-            w = ct * ch
-            c2 = c if w == 1 else c * w
-            old = acc.get(k)
-            acc[k] = c2 if old is None else old + c2
+    for w, k in _canonical(P, Q, R, S):
+        c2 = c if w == 1 else c * w
+        old = acc.get(k)
+        acc[k] = c2 if old is None else old + c2
 
 
 class FunExpr:
@@ -283,11 +289,14 @@ class FunExpr:
             row[offs] = row.get(offs, 0) + m.coeff
 
     @staticmethod
-    def _pruned(acc: Classes) -> "FunExpr":
+    def _pruned(acc: Classes, den: int = 0) -> "FunExpr":
         """The expression of `acc`, a map with canonical offsets whose sums
-        may have cancelled: zero coefficients and empty classes drop.  The
-        one constructor of `_linear`, `_combine` and `__mul__` results."""
-        rows = ((cls, {k: c for k, c in row.items() if c}) for cls, row in acc.items())
+        may have cancelled: zero coefficients and empty classes drop.  With
+        `den`, acc holds integer numerators over den, and only the nonzero
+        ones become Fractions.  The one constructor of `_linear`, `_combine`
+        and `__mul__` results."""
+        rows = ((cls, {k: Fraction(c, den) if den else c for k, c in row.items() if c})
+                for cls, row in acc.items())
         f = object.__new__(FunExpr)
         f.classes, f._terms = {cls: row for cls, row in rows if row}, None
         return f
@@ -357,9 +366,7 @@ class FunExpr:
                         else row_b[t:t + 1] + twice[j][t + 1:]
                     for (Pb, Qb, Rb, Sb), y in pairs:
                         _expand(acc, Pa + Pb, Qa + Qb, Ra + Rb, Sa + Sb, x * y)
-        den = den_a * den_b
-        return FunExpr._pruned({cls: {k: Fraction(n, den) for k, n in row.items()}
-                                for cls, row in out.items()})
+        return FunExpr._pruned(out, den_a * den_b)
 
     def scale(self, c: RationalLike) -> "FunExpr":
         return _combine(FunExpr(), (self, rational(c)))
@@ -386,6 +393,15 @@ def _rules(raw: Iterable[tuple], factor: RationalLike = 1,
                  for i, a, sh in raw if a)
 
 
+@lru_cache(maxsize=None)
+def _target(cls: ResidueClass, dcls: ResidueClass, doffs: Offsets) -> tuple:
+    """(class, P, Q, R, S) of a term of class `cls` times the multiplier of
+    class `dcls` and offsets `doffs`: the class sum and the offsets to add,
+    its carry plus `doffs`."""
+    new, carry = _class_sum(cls, dcls)
+    return (new,) + tuple(x + y for x, y in zip(carry, doffs))
+
+
 def _linear(*parts: tuple[FunExpr, tuple[tuple, ...]]) -> FunExpr:
     """The sum over parts (f, rules) of each rule applied to f.
 
@@ -394,18 +410,20 @@ def _linear(*parts: tuple[FunExpr, tuple[tuple, ...]]) -> FunExpr:
     exponent of m at slot i when i is not None; with m's exponent at i zero
     the term drops.  So a derivative, a multiplication by a monomial and any
     first-order operator with monomial coefficients are one pass: every
-    image goes through `_expand` into one accumulator, pruned once.
+    image goes through `_expand` into one accumulator, pruned once.  The
+    target of a (class, rule) pair is one cached lookup (`_target`), and a
+    rule factor of 1 multiplies nothing.
     """
     out: Classes = {}
     for f, rules in parts:
         for cls, row in f.classes.items():
             for i, a, dcls, doffs in rules:
-                new, carry = _class_sum(cls, dcls)
-                tP, tQ, tR, tS = (x + y for x, y in zip(carry, doffs))
+                new, tP, tQ, tR, tS = _target(cls, dcls, doffs)
                 acc = out.setdefault(new, {})
                 if i is None:
+                    unit = a == 1
                     for (P, Q, R, S), c in row.items():
-                        _expand(acc, P + tP, Q + tQ, R + tR, S + tS, c * a)
+                        _expand(acc, P + tP, Q + tQ, R + tR, S + tS, c if unit else c * a)
                     continue
                 n, d, an, ad = cls[2 * i], cls[2 * i + 1], a.numerator, a.denominator
                 for k, c in row.items():
@@ -427,8 +445,11 @@ def _combine(first: FunExpr, *parts: tuple[FunExpr, RationalLike]) -> FunExpr:
         for cls, row in g.classes.items():
             acc = out.setdefault(cls, {})
             for k, v in row.items():
-                v = v if unit else -v if neg else v * c
                 old = acc.get(k)
+                if neg:
+                    acc[k] = -v if old is None else old - v
+                    continue
+                v = v if unit else v * c
                 acc[k] = v if old is None else old + v
     return FunExpr._pruned(out)
 
@@ -565,9 +586,13 @@ def _divergence(f: FunExpr, k: int) -> str | None:
     `is_normalizable` checks every walk image) and its first wall in
     `_WALLS` order, so equal functions give equal messages.
     """
-    m = _first_term(f, lambda cls, offs: any(
-        k * (cls[2 * i] + 2 * cls[2 * i + 1] * offs[i]) <= bound * cls[2 * i + 1]
-        for i, _, _, bound in _WALLS))
+    def on_wall(cls: ResidueClass, offs: Offsets) -> bool:
+        for i, _, _, bound in _WALLS:
+            if k * (cls[2 * i] + 2 * cls[2 * i + 1] * offs[i]) <= bound * cls[2 * i + 1]:
+                return True
+        return False
+
+    m = _first_term(f, on_wall)
     if m:
         i, name, sym, bound = next(w for w in _WALLS if k * m.key[w[0]] <= w[3])
         return f"{name} exponent {sym}={m.key[i]} <= {Fraction(bound, k)} in term {m}"

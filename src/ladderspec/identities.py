@@ -115,10 +115,19 @@ def _act(gen: str, st: LabeledState, apply_fn: ApplyFn) -> LabeledState:
 
 
 def bracket_residual(entry, st: LabeledState, apply_fn: ApplyFn = apply) -> FunExpr:
+    """x(y st) - y(x st) - sum c z(st) for the row [x, y] = sum c z.
+
+    `apply_fn` is called once per distinct (generator, state): x st and
+    y st are computed once each and serve the right-hand side too, so a
+    row [L, y] = c y calls it twice, a ladder row four times, five when
+    its right-hand side is a ladder generator.
+    """
     _, xg, yg, rhs = entry
-    return _combine(_act(xg, _act(yg, st, apply_fn), apply_fn).expr,
-                    (_act(yg, _act(xg, st, apply_fn), apply_fn).expr, -1),
-                    *((_act(gen, st, apply_fn).expr, -coeff) for coeff, gen in rhs))
+    images = {gen: _act(gen, st, apply_fn) for gen in (yg, xg)}
+    return _combine(_act(xg, images[yg], apply_fn).expr,
+                    (_act(yg, images[xg], apply_fn).expr, -1),
+                    *(((images[gen] if gen in images else _act(gen, st, apply_fn)).expr, -coeff)
+                      for coeff, gen in rhs))
 
 
 @dataclass

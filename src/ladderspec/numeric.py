@@ -251,7 +251,9 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
     only in logs and only at interior faces and centres (_matrix).  The
     seeds of the n-cell grid are a loose bisection of the same problem on
     n/4 cells, built here so that _grid solves only the n- and 2n-cell
-    grids; the n-cell grid's levels are the 2n-cell grid's guesses.  Returns
+    grids; the n-cell grid's levels are the 2n-cell grid's guesses.  When
+    the n-cell grid has no level, the 2n-cell matrix is only built, for its
+    overflow check, and no level of it is sought.  Returns
     the Richardson values (4 E_2n - E_n)/3 of the levels both grids report,
     the residuals |S u - E u| of the fine unit eigenpairs, the error bars
     |E_2n - E_n|/3 + tol, with tol the fine grid's bisection tolerance, and
@@ -265,7 +267,8 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
     finite = np.isfinite(d).all() and np.isfinite(e).all()
     seeds = _loose(d, e, Wc, nev) if finite else np.empty(0)
     coarse = _grid(grid, grid.n, log_w, W, nev, seeds, seeded=True)[2]
-    _, _, fine, vecs, res = _grid(grid, 2 * grid.n, log_w, W, nev, coarse)
+    # no coarse level to refine: nev = 0 only checks the fine matrix for overflow
+    _, _, fine, vecs, res = _grid(grid, 2 * grid.n, log_w, W, nev if len(coarse) else 0, coarse)
     k = min(len(coarse), len(fine))
     tol = _tolerance(W(grid.length / (2 * grid.n) * (np.arange(2 * grid.n) + 0.5)))
     return ((4 * fine[:k] - coarse[:k]) / 3, res[:k],

@@ -1,12 +1,16 @@
 """The seeded identity suite and its corruption control."""
 
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ladderspec import LabeledState, OperatorName, apply, run_suite
-from ladderspec.identities import _CROSS, BRACKET_TABLE, bracket_residual, random_state
-from ladderspec.operators import _BY_SHIFT, SHIFTS
+from ladderspec.algebra import _combine
+from ladderspec.identities import _CROSS, BRACKET_TABLE, _act, bracket_residual, random_state
+from ladderspec.operators import _BY_SHIFT, _GENERATORS, SHIFTS
 
 O = OperatorName
 
@@ -76,3 +80,45 @@ def test_every_bracket_individually(rng):
     for entry in BRACKET_TABLE:
         st = random_state(rng)
         assert bracket_residual(entry, st).is_zero, entry[0]
+
+
+def corrupted_b_plus(op, st):
+    """`apply` with B+ doubled, the corruption hook of the suite tests."""
+    out = apply(op, st)
+    return LabeledState(out.label, out.expr.scale(2)) if op is O.B_PLUS else out
+
+
+def three_call_residual(entry, st, apply_fn):
+    """The oracle: x(y st) - y(x st) - sum c z(st) with every image of st
+    applied where it is used, so y st twice on a row [L, y] = c y."""
+    _, xg, yg, rhs = entry
+    return _combine(_act(xg, _act(yg, st, apply_fn), apply_fn).expr,
+                    (_act(yg, _act(xg, st, apply_fn), apply_fn).expr, -1),
+                    *((_act(gen, st, apply_fn).expr, -coeff) for coeff, gen in rhs))
+
+
+def test_apply_fn_is_called_once_per_distinct_image(rng):
+    # [L, y] = c y: y st and x(y st), the diagonal x being a scale; a ladder
+    # row: y st, x(y st), x st, y(x st), and z st for a ladder z
+    for entry in BRACKET_TABLE:
+        _, x, y, rhs = entry
+        calls = []
+        bracket_residual(entry, random_state(rng),
+                         lambda op, st: calls.append(op) or apply(op, st))
+        if x not in _GENERATORS:
+            want = 2 if y in _GENERATORS else 0
+        else:
+            want = 5 if rhs and rhs[0][1] in _GENERATORS else 4
+        assert len(calls) == want, entry[0]
+        assert rhs == [] or x in _GENERATORS or rhs[0][1] == y, entry[0]
+
+
+@pytest.mark.parametrize("apply_fn", [apply, corrupted_b_plus], ids=["apply", "corrupted"])
+@settings(max_examples=10)
+@given(hst.integers(0, 2 ** 32))
+def test_residuals_match_the_three_call_form(apply_fn, seed):
+    rng = random.Random(seed)
+    for entry in BRACKET_TABLE:
+        st = random_state(rng)
+        got, want = bracket_residual(entry, st, apply_fn), three_call_residual(entry, st, apply_fn)
+        assert got == want and str(got) == str(want), entry[0]

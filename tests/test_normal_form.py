@@ -17,6 +17,7 @@ values of growing terms are also checked against 60-digit mpmath values
 and against mpmath sums of the regulated terms.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -32,7 +33,8 @@ from ladderspec import (DivergenceError, DomainError, FunExpr, ParamPoint,
                         apply_word, bound_spectrum, d_theta, d_xi, eval_at,
                         eval_grid, ground_full, inner, integral, is_normalizable,
                         monomial)
-from ladderspec.algebra import Monomial, _combine, rational
+from ladderspec.algebra import (_WALLS, Monomial, _canonical, _combine, _divergence,
+                                _first_term, _hyp_table, _trig_table, rational)
 
 
 # --- reference oracle: the stepwise reducer -------------------------------
@@ -130,6 +132,16 @@ def test_matches_stepwise_oracle(terms):
 def test_idempotent(terms):
     f = FunExpr.from_terms(terms)
     assert FunExpr.from_terms(f.terms) == f
+
+
+def test_canonical_table_is_the_trig_times_hyp_product():
+    """`_canonical` caches the expansion of `_expand`: the trig table times
+    the hyperbolic table, trig terms outer, weights multiplied."""
+    r = range(-4, 5)
+    for P, Q, R, S in itertools.product(r, r, r, r):
+        want = [(ct * ch, (P2, Q2, R2, S2)) for ct, P2, Q2 in _trig_table(P, Q)
+                for ch, R2, S2 in _hyp_table(R, S)]
+        assert list(_canonical(P, Q, R, S)) == want, (P, Q, R, S)
 
 
 @given(small_exprs, small_exprs, small_exprs)
@@ -480,6 +492,40 @@ def test_convergence_checks_match_oracle(terms):
     want_value, want_message = _outcome(oracle_integral, f)
     assert message == want_message  # the first offender in `terms` order
     assert value == want_value
+
+
+def oracle_wall_message(f, k):
+    """The wall half of `_divergence` with its predicate as one `any` over
+    `_WALLS`: the message of the first offending term, or None."""
+    m = _first_term(f, lambda cls, offs: any(
+        k * (cls[2 * i] + 2 * cls[2 * i + 1] * offs[i]) <= bound * cls[2 * i + 1]
+        for i, _, _, bound in _WALLS))
+    if m:
+        i, name, sym, bound = next(w for w in _WALLS if k * m.key[w[0]] <= w[3])
+        return f"{name} exponent {sym}={m.key[i]} <= {Fraction(bound, k)} in term {m}"
+    return None
+
+
+# the wall bounds -1, -1/2 (p, q at k = 1, 2) and -2, -1 (s), next to others
+wall_exponents = st.one_of(st.sampled_from([Fraction(b, k) for b in (-1, -2) for k in (1, 2)]),
+                           st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+wall_terms = st.lists(st.builds(Monomial, st.builds(Fraction, st.integers(1, 5)),
+                                wall_exponents, wall_exponents, wall_exponents,
+                                wall_exponents), min_size=1, max_size=4)
+
+
+@given(wall_terms)
+@example(_terms((1, -1, 0, 0, 0), (1, 0, "-1/2", 0, -1), (2, 0, 0, 0, -2)))
+def test_wall_loop_matches_the_any_predicate(terms):
+    """`_divergence` names the same first offending term and wall as the
+    `any` predicate, at k = 1 and 2, also on exponents exactly at a bound."""
+    f = FunExpr.from_terms(terms)
+    for k in (1, 2):
+        got, want = _divergence(f, k), oracle_wall_message(f, k)
+        if want is None:
+            assert got is None or got.startswith("large-xi growth")
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("terms, value", GROWTH_VALUES)

@@ -11,7 +11,10 @@ each workload of BENCHMARK.json, ``perfbench/run.py --workload W --seed
 (seed + i) --seconds S --trace 0``, with S the ``run_seconds`` of
 BENCHMARK.json, runs once in the parent tree and once in the working tree,
 one run at a time; even pairs start with the parent, odd pairs with the
-change.  With ``--anchor REV`` a third tree, a fixed older revision, runs in
+change.  Each side reads and writes bytecode only in its own directory
+(``PYTHONPYCACHEPREFIX``), empty at the start, so no side loads a
+``__pycache__`` left in its tree by an earlier run, and the sides compile
+alike.  With ``--anchor REV`` a third tree, a fixed older revision, runs in
 the same alternation (parent, change, anchor; reversed on odd pairs), so
 that drift across several changes shows: each metric then also carries the
 anchor's runs and the change/anchor median ratio (`vs_anchor`), which is
@@ -57,13 +60,15 @@ def extract(rev: str, root: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, pycache: str, workload: str, seed: int, seconds: float) -> dict:
     """The final JSON line of one untraced benchmark run in `tree`, with its
-    number of untraced passes under "passes"."""
+    number of untraced passes under "passes".  Bytecode is read and written
+    under `pycache` only (PYTHONPYCACHEPREFIX), never in the tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
-                         text=True, stdin=subprocess.DEVNULL)
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True,
+                         stdin=subprocess.DEVNULL,
+                         env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
     res = json.loads(out.stdout.strip().splitlines()[-1])
     res["passes"] = int(PASSES.search(out.stdout).group(1))
     return res
@@ -118,11 +123,14 @@ def main(argv: list[str] | None = None) -> int:
                 trees[side] = os.path.join(tmp, side)
                 os.mkdir(trees[side])
                 extract(rev, root, trees[side])
+        pycache = {side: os.path.join(tmp, side + "-pycache") for side in sides}
+        for path in pycache.values():
+            os.mkdir(path)
         for i in range(args.pairs):
             order = sides if i % 2 == 0 else sides[::-1]
             for w in workloads:
                 for side in order:
-                    res = run_once(trees[side], w, args.seed + i, seconds)
+                    res = run_once(trees[side], pycache[side], w, args.seed + i, seconds)
                     runs[w][side].append(res)
                     print(f"pair {i} {w} {side}: " + ", ".join(
                         f"{k} {v['value']:.4g}" for k, v in res["metrics"].items())
