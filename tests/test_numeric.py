@@ -248,6 +248,16 @@ class TestCertificate:
         assert calls["count"] == [1000] * k[0] + [2000] * k[1]
         assert len(r.eigenvalues) == k[1]
 
+    def test_no_coarse_level_seeks_no_fine_level(self, monkeypatch):
+        # at l2 = -6, sqrt(alpha) = 5 binds nothing: the 2n-cell matrix is
+        # built, for its overflow check, but neither counted nor solved
+        calls = lapack_calls(monkeypatch)
+        r, solves = grid_solves(monkeypatch, lambda grid: solve_xi(-6, 25.0, grid),
+                                GridSpec("xi", 1000))
+        assert [len(d) for d, *_ in solves] == [1000, 2000]
+        assert r.eigenvalues == ()
+        assert all(2000 not in sizes for sizes in calls.values()), calls
+
 
 # Reference: the same finite volumes built and bisected in long double
 # (64-bit mantissa on x86), with a vectorized Sturm count over many shifts.

@@ -11,14 +11,15 @@ each workload of BENCHMARK.json, ``perfbench/run.py --workload W --seed
 (seed + i) --seconds S --trace 0``, with S the ``run_seconds`` of
 BENCHMARK.json, runs once in the parent tree and once in the working tree,
 one run at a time; even pairs start with the parent, odd pairs with the
-change.  Each side reads and writes bytecode only in its own directory
-(``PYTHONPYCACHEPREFIX``), empty at the start, so no side loads a
-``__pycache__`` left in its tree by an earlier run, and the sides compile
-alike.  With ``--anchor REV`` a third tree, a fixed older revision, runs in
-the same alternation (parent, change, anchor; reversed on odd pairs), so
-that drift across several changes shows: each metric then also carries the
-anchor's runs and the change/anchor median ratio (`vs_anchor`), which is
-reported next to the verdict and gates nothing.  The output holds, per
+change.  The working tree runs from a copy of the files git tracks or would
+track (``git ls-files --cached --others --exclude-standard``), so, like the
+extracted parent, it holds no ``__pycache__`` of an earlier run and its
+modules compile as the parent's do.  With ``--anchor REV`` a third tree, a
+fixed older revision, runs in the same alternation (parent, change, anchor;
+reversed on odd pairs), so that drift across several changes shows: each
+metric then also carries the anchor's runs and the change/anchor median
+ratio (`vs_anchor`), which is reported next to the verdict and gates
+nothing.  The output holds, per
 workload and end-to-end metric, every side's runs with their median and
 quartiles, the number of pairs the change won against the parent and the
 gate's verdict (`verdict`); per workload, every side's untraced pass counts
@@ -38,6 +39,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import signal
 import statistics
 import subprocess
@@ -60,15 +62,24 @@ def extract(rev: str, root: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree: str, pycache: str, workload: str, seed: int, seconds: float) -> dict:
+def snapshot(root: str, dest: str) -> None:
+    """Copy into `dest` the working tree's files that git tracks or would
+    track, as they are now; a tracked file deleted from the tree stays out."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=root)
+    for name in filter(None, names.split("\0")):
+        src, dst = os.path.join(root, name), os.path.join(dest, name)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """The final JSON line of one untraced benchmark run in `tree`, with its
-    number of untraced passes under "passes".  Bytecode is read and written
-    under `pycache` only (PYTHONPYCACHEPREFIX), never in the tree."""
+    number of untraced passes under "passes"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True,
-                         stdin=subprocess.DEVNULL,
-                         env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
+                         text=True, stdin=subprocess.DEVNULL)
     res = json.loads(out.stdout.strip().splitlines()[-1])
     res["passes"] = int(PASSES.search(out.stdout).group(1))
     return res
@@ -117,20 +128,17 @@ def main(argv: list[str] | None = None) -> int:
     # a terminated run still removes its temporary trees
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory(prefix="bench-trees-") as tmp:
-        trees = {"change": root}
+        trees = {side: os.path.join(tmp, side) for side in sides}
+        snapshot(root, trees["change"])
         for side, rev in (("parent", args.parent), ("anchor", args.anchor)):
             if rev:
-                trees[side] = os.path.join(tmp, side)
                 os.mkdir(trees[side])
                 extract(rev, root, trees[side])
-        pycache = {side: os.path.join(tmp, side + "-pycache") for side in sides}
-        for path in pycache.values():
-            os.mkdir(path)
         for i in range(args.pairs):
             order = sides if i % 2 == 0 else sides[::-1]
             for w in workloads:
                 for side in order:
-                    res = run_once(trees[side], pycache[side], w, args.seed + i, seconds)
+                    res = run_once(trees[side], w, args.seed + i, seconds)
                     runs[w][side].append(res)
                     print(f"pair {i} {w} {side}: " + ", ".join(
                         f"{k} {v['value']:.4g}" for k, v in res["metrics"].items())
