@@ -16,15 +16,13 @@ from .identities import IdentityResult, run_suite
 from .operators import (LabeledState, OperatorName, ParamPoint,
                         VariableMismatchError, apply, apply_casimir,
                         apply_hamiltonian, apply_separated, apply_word,
-                        commutator, cprime, diag_eigenvalue,
-                        hamiltonian_from_casimir, reflect,
-                        separated_eigenvalue, separated_ladder,
+                        cprime, diag_eigenvalue, hamiltonian_from_casimir,
+                        reflect, separated_eigenvalue, separated_ladder,
                         verify_intertwining)
 from .spectra import (AdmissibilityError, EnergyLevel, LatticePoint,
                       SpectrumReport, bound_spectrum, enumerate_lattice,
-                      gram_matrix, gram_rank, ground_beta, ground_chi,
-                      ground_full, ground_theta, lattice_states, normalize,
-                      so42_vacuum, states_at, vertex_energy)
+                      gram_matrix, gram_rank, ground_full, lattice_states,
+                      normalize, states_at, vertex_energy)
 
 __version__ = "0.1.0"
 

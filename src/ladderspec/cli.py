@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import chain
 from typing import Iterable
 
@@ -80,7 +81,7 @@ def cmd_state(args) -> int:
         e = spectra.vertex_energy(args.l0, args.l2)
         doc["eigenvalue"] = str(e) if (himg - st.expr.scale(e)).is_zero else None
         if is_normalizable(st.expr):
-            doc["normalization"] = spectra.normalize(st)[1]
+            doc["normalization"] = spectra.normalize(st)
     _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
 
@@ -148,11 +149,11 @@ def cmd_sample(args) -> int:
     st = apply_word(_parse_word(args.word), st)
     if st.is_zero:
         raise AdmissibilityError("the requested state is identically zero")
-    st, _ = spectra.normalize(st)
+    unit = st.expr.scale(Fraction(spectra.normalize(st)))
     n = args.grid
     thetas = (np.arange(1, n + 1) - 0.5) * (np.pi / 2) / n
     xis = (np.arange(1, n + 1) - 0.5) * args.cutoff / n
-    vals = eval_grid(st.expr, thetas, xis)
+    vals = eval_grid(unit, thetas, xis)
     xs = [f"{xx:.17g}" for xx in xis]
     rows = ("".join(f"\n{t},{xx},{v:.17g}" for xx, v in zip(xs, line.tolist()))
             for t, line in zip([f"{th:.17g}" for th in thetas], vals))

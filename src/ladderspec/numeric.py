@@ -91,6 +91,9 @@ class GridSpec:
         w = self.cutoff / self.n  # no user of the grid squares a wider cell
         if not (math.isfinite(w * w) and self.cutoff > 0):
             raise ParameterError(f"cutoff must be > 0 with (cutoff/n)^2 finite, got {self.cutoff}")
+        h = self.cutoff / (2 * self.n)  # the finest cell; the solvers divide by h^2
+        if not (h * h > 0 and math.isfinite(1 / (h * h))):
+            raise ParameterError(f"cutoff must leave 1/(cutoff/2n)^2 finite, got {self.cutoff}")
 
     @property
     def length(self) -> float:
@@ -111,11 +114,6 @@ class EigenResult:
     eigenvalues: tuple[float, ...]
     residual_norms: tuple[float, ...]
     errors: tuple[float, ...]
-
-
-def _tolerance(Wc: np.ndarray) -> float:
-    """The bisection tolerance 1e-12 (1 + |min W|) of a grid, W at its cells."""
-    return 1e-12 * (1.0 + abs(Wc.min()))
 
 
 def _matrix(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
@@ -151,9 +149,9 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
           W: Callable[[np.ndarray], np.ndarray], nev: Optional[int],
           guesses: np.ndarray, seeded: bool = False) -> tuple[np.ndarray, ...]:
     """The matrix (d, e) on m cells (_matrix), its k levels, their unit
-    vectors and residuals |S v - E v|: the nev lowest, or with nev None every
-    level in (min W - 1, 0]; the flux part is positive semidefinite, so no
-    level lies below min W.
+    vectors and residuals |S v - E v|, and tol: the nev lowest, or with nev
+    None every level in (min W - 1, 0]; the flux part is positive
+    semidefinite, so no level lies below min W.
 
     Inverse iteration (dstein) from the guesses gives each unit vector v.
     Its level rho is the Rayleigh quotient in flux form,
@@ -189,7 +187,7 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
     d, e, lf, lc, Wc = _matrix(grid, m, log_w, W)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ParameterError(f"inputs too large: the {grid.variable} matrix overflows")
-    h, floor, tol = grid.length / m, Wc.min() - 1, _tolerance(Wc)
+    h, floor, tol = grid.length / m, Wc.min() - 1, 1e-12 * (1.0 + abs(Wc.min()))
 
     def count(x: float) -> int:  # levels in (floor, x]; an infinite tolerance bisects nothing
         return dstebz(d, e, 1, floor, x, 0, 0, np.inf, b"E")[0] if x > floor else 0
@@ -202,7 +200,7 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
 
     k = min(nev, m) if nev is not None else count(0.0)  # on xi the count at 0
     if not k:
-        return d, e, np.empty(0), np.empty((m, 0)), np.empty(0)
+        return d, e, np.empty(0), np.empty((m, 0)), np.empty(0), tol
     delta = 8 * np.finfo(float).eps * (np.abs(d).max() + 2 * np.abs(e).max())
     ratios = np.exp(lf - lc[:-1])[:, None], np.exp(lf - lc[1:])[:, None]
 
@@ -237,7 +235,7 @@ def _grid(grid: GridSpec, m: int, log_w: Callable[[np.ndarray], np.ndarray],
         vals, vecs = eigh_tridiagonal(d, e, select=kind, select_range=bounds,
                                       lapack_driver="stebz", tol=tol)
         found = vals, vecs, residuals(vals, vecs)
-    return (d, e) + found
+    return (d, e) + found + (tol,)
 
 
 def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
@@ -268,9 +266,9 @@ def _levels(grid: GridSpec, log_w: Callable[[np.ndarray], np.ndarray],
     seeds = _loose(d, e, Wc, nev) if finite else np.empty(0)
     coarse = _grid(grid, grid.n, log_w, W, nev, seeds, seeded=True)[2]
     # no coarse level to refine: nev = 0 only checks the fine matrix for overflow
-    _, _, fine, vecs, res = _grid(grid, 2 * grid.n, log_w, W, nev if len(coarse) else 0, coarse)
+    _, _, fine, vecs, res, tol = _grid(grid, 2 * grid.n, log_w, W, nev if len(coarse) else 0,
+                                       coarse)
     k = min(len(coarse), len(fine))
-    tol = _tolerance(W(grid.length / (2 * grid.n) * (np.arange(2 * grid.n) + 0.5)))
     return ((4 * fine[:k] - coarse[:k]) / 3, res[:k],
             np.abs(fine[:k] - coarse[:k]) / 3 + tol, vecs[:, :k])
 

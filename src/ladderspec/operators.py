@@ -193,8 +193,6 @@ SHIFTS: dict[OperatorName, tuple[int, int, int]] = {
     for op in OperatorName}
 
 LADDER_OPERATORS = tuple(op for op in OperatorName if op in _GENERATORS)
-LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
-LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 _BY_SHIFT = {SHIFTS[op]: op for op in LADDER_OPERATORS}
 _SEPARATED = {fam.separated: fam for fam in _FAMILIES.values()}
 
@@ -324,14 +322,6 @@ def separated_eigenvalue(family: str,
     fam = _family(family)
     x, y = rational(params[0]), rational(params[1])
     return fam.eps * (1 + fam.sigma * x + y) ** 2
-
-
-def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledState:
-    """[x, y] applied to st; both orderings land on the same label."""
-    xy = apply(x, apply(y, st))
-    yx = apply(y, apply(x, st))
-    assert xy.label == yx.label
-    return LabeledState(xy.label, xy.expr - yx.expr)
 
 
 def apply_casimir(st: LabeledState) -> FunExpr:

@@ -68,21 +68,6 @@ def _ground(family: str, x: RationalLike, y: RationalLike) -> FunExpr:
     return monomial(1, *e)
 
 
-def ground_theta(l0: RationalLike, l1: RationalLike) -> FunExpr:
-    """Ground state of the theta factor Hamiltonian (family A) at (l0, l1)."""
-    return _ground("A", l0, l1)
-
-
-def ground_chi(l0: RationalLike, l2: RationalLike) -> FunExpr:
-    """Ground state of the chi factor Hamiltonian (family B) at (l0, l2)."""
-    return _ground("B", l0, l2)
-
-
-def ground_beta(l1: RationalLike, l2: RationalLike) -> FunExpr:
-    """Ground state of the beta factor Hamiltonian (family C) at (l1, l2)."""
-    return _ground("C", l1, l2)
-
-
 def ground_full(l0: RationalLike, l2: RationalLike) -> LabeledState:
     """The vertex at (l0, 0, l2), annihilated by all three lowering operators.
 
@@ -99,11 +84,6 @@ def ground_full(l0: RationalLike, l2: RationalLike) -> LabeledState:
             f"vertex needs l0+l2 < {_VERTEX_CUT} for energy E < 0, got {l0 + l2}")
     expr = theta * monomial(1, 0, 0, 0, -HALF) * _ground("B", 1 + l0, l2)
     return LabeledState(ParamPoint(l0, Fraction(0), l2), expr)
-
-
-def so42_vacuum(l2: RationalLike) -> LabeledState:
-    """The l0 = 0 vertex, additionally annihilated by the tilde lowerings."""
-    return ground_full(0, l2)
 
 
 def vertex_energy(l0: RationalLike, l2: RationalLike) -> Fraction:
@@ -274,21 +254,15 @@ def gram_rank(states: list[LabeledState]) -> int:
     return int(np.sum(sv > GRAM_REL_TOL * sv[0]))
 
 
-def normalize(st: LabeledState) -> tuple[LabeledState, float]:
-    """Scale to unit norm; returns (state, constant) with constant = 1/sqrt(<f,f>).
-
-    The scale factor is stored as the exact rational image of the float, so
-    downstream operator algebra on the normalized state stays exact.
-    """
+def normalize(st: LabeledState) -> float:
+    """The constant 1/sqrt(<f,f>) that scales the state to unit norm."""
     if st.is_zero:
         raise ValueError("cannot normalize the zero state")
     n2 = inner(st.expr, st.expr)
     if not (math.isfinite(n2) and n2 > 0):
         raise ValueError(
             f"cannot normalize the state at {st.label}: norm squared is {n2!r}")
-    const = 1.0 / math.sqrt(n2)
-    scaled = st.expr.scale(Fraction(const))
-    return LabeledState(st.label, scaled), const
+    return 1.0 / math.sqrt(n2)
 
 
 @dataclass(frozen=True)
@@ -354,7 +328,7 @@ def bound_spectrum(target: ParamPoint) -> SpectrumReport:
         words, sts = zip(*kept)
         levels.append(EnergyLevel(vertex_energy(v0, v2), len(kept), words,
                                   vertex))
-        norms.append(tuple(normalize(st)[1] for st in sts))
+        norms.append(tuple(normalize(st) for st in sts))
     if not levels:
         raise AdmissibilityError(
             f"no admissible vertex reaches {target}: vertices sit at l1 = 0 "

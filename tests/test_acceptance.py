@@ -226,7 +226,7 @@ def test_08_three_lattices_one_energy():
 def test_09_normalization_oracle():
     """1/sqrt(inner) for the (0,0,-3) vacuum matches 2D quadrature to 1e-8."""
     st = ground_full(0, -3)
-    const = normalize(st)[1]
+    const = normalize(st)
     oracle = 1.0 / math.sqrt(quadrature_oracle(st.expr * st.expr))
     diff = abs(const - oracle)
     ok = diff < 1e-8

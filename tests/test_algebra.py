@@ -205,9 +205,10 @@ class TestEval:
 
     def test_decaying_state_underflows_at_large_xi(self):
         # cosh(720) overflows a float; the state's true value underflows to 0
-        st, _ = normalize(ground_full(0, -5))
-        assert eval_at(st.expr, 0.5, 720.0) == 0.0
-        grid = eval_grid(st.expr, np.array([0.5, 1.0]), np.array([1.0, 720.0, 2000.0]))
+        st = ground_full(0, -5)
+        f = st.expr.scale(Fraction(normalize(st)))
+        assert eval_at(f, 0.5, 720.0) == 0.0
+        grid = eval_grid(f, np.array([0.5, 1.0]), np.array([1.0, 720.0, 2000.0]))
         assert grid[0, 0] > 0 and not grid[:, 1:].any()
 
     @pytest.mark.parametrize("f, theta, xi", [

@@ -27,12 +27,12 @@ EXPORTS = (
     "EigenResult GridSpec ParameterError TruncationWarning residual_on_grid "
     "solve_theta solve_xi numeric "
     "LabeledState OperatorName ParamPoint VariableMismatchError apply "
-    "apply_casimir apply_hamiltonian apply_separated apply_word commutator cprime "
+    "apply_casimir apply_hamiltonian apply_separated apply_word cprime "
     "diag_eigenvalue hamiltonian_from_casimir reflect separated_eigenvalue "
     "separated_ladder verify_intertwining "
     "AdmissibilityError EnergyLevel LatticePoint SpectrumReport bound_spectrum "
-    "enumerate_lattice gram_matrix gram_rank ground_beta ground_chi ground_full "
-    "ground_theta lattice_states normalize so42_vacuum states_at vertex_energy").split()
+    "enumerate_lattice gram_matrix gram_rank ground_full lattice_states normalize "
+    "states_at vertex_energy").split()
 
 # the exact subcommands; none of them touches a float array
 EXACT_COMMANDS = (["spectrum", "--l2=-5"], ["state", "--l0=0", "--l2=-5"],
@@ -256,13 +256,17 @@ class TestSample:
         from fractions import Fraction
         from ladderspec import (OperatorName as O, LabeledState, apply_word,
                                 eval_grid, ground_full, inner, normalize)
+
+        def unit(st):
+            return LabeledState(st.label, st.expr.scale(Fraction(normalize(st))))
+
         v = ground_full(1, -4)
-        s1, _ = normalize(apply_word((O.C_PLUS, O.A_PLUS), v))
+        s1 = unit(apply_word((O.C_PLUS, O.A_PLUS), v))
         s2raw = apply_word((O.A_PLUS, O.C_PLUS), v)
         overlap = inner(s2raw.expr, s1.expr)
         s2raw = LabeledState(s2raw.label,
                              s2raw.expr - s1.expr.scale(Fraction(overlap)))
-        s2, _ = normalize(s2raw)
+        s2 = unit(s2raw)
         assert abs(inner(s1.expr, s2.expr)) < 1e-9
         n, cutoff = 200, 14.0
         ths = (np.arange(n) + 0.5) * (np.pi / 2) / n
@@ -286,12 +290,13 @@ class TestSample:
     def test_streamed_rows_match_joined_form(self, capsys, tmp_path):
         # the rows go out one theta line at a time, as the bytes of one join
         import numpy as np
+        from fractions import Fraction
         from ladderspec import OperatorName as O, apply_word, eval_grid, ground_full, normalize
-        st, _ = normalize(apply_word((O.C_PLUS, O.A_PLUS), ground_full(1, -4)))
+        st = apply_word((O.C_PLUS, O.A_PLUS), ground_full(1, -4))
         n, cutoff = 7, 3.0
         thetas = (np.arange(1, n + 1) - 0.5) * (np.pi / 2) / n
         xis = (np.arange(1, n + 1) - 0.5) * cutoff / n
-        vals = eval_grid(st.expr, thetas, xis)
+        vals = eval_grid(st.expr.scale(Fraction(normalize(st))), thetas, xis)
         joined = "\n".join(["theta,xi,value"] + [
             f"{th:.17g},{xx:.17g},{vals[i, j]:.17g}"
             for i, th in enumerate(thetas) for j, xx in enumerate(xis)])
@@ -386,11 +391,17 @@ class TestCrosscheck:
         assert "cutoff" in err and cutoff in err
 
     def test_cutoff_beyond_the_float_range_exits_2(self, capsys):
-        # the square of the cell width, (1e308/2000)^2, overflows
-        code, out, err = run_cli(capsys, "crosscheck", "--l0=0", "--l1=0", "--l2=-5",
-                                 "--cutoff=1e308")
-        assert (code, out) == (2, "")
-        assert "cutoff" in err and "1e+308" in err
+        # the square of the cell width, (1e308/2000)^2, overflows; so does
+        # 1/h^2 of the finest cell h = cutoff/4000 at 1e-155, and at 1e-160
+        # h^2 underflows to 0, which the solvers must not divide by
+        for cutoff, shown in (("1e308", "1e+308"), ("1e-155", "1e-155"),
+                              ("1e-160", "1e-160")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "crosscheck", "--l0=0", "--l1=0",
+                                         "--l2=-5", f"--cutoff={cutoff}")
+            assert (code, out) == (2, "")
+            assert "cutoff" in err and shown in err
 
     def test_rows_carry_the_error_bar_and_residual(self, capsys):
         # the bar |E_2n - E_n|/3 + tol of the matched level covers its error

@@ -29,8 +29,11 @@ class TestGridSpec:
             GridSpec("xi", 100, cutoff=0.0)
 
     @pytest.mark.parametrize("variable", ["theta", "xi"])
-    @pytest.mark.parametrize("cutoff", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cutoff", [-1.0, 0.0, math.nan, math.inf, -math.inf,
+                                        1e-155, 1e-160])
     def test_cutoff_must_be_finite_and_positive(self, variable, cutoff):
+        # 1/h^2 of the finest cell h = cutoff/200 overflows at 1e-155 and
+        # divides by zero at 1e-160
         with pytest.raises(ParameterError, match=f"cutoff .*{cutoff}"):
             GridSpec(variable, 100, cutoff=cutoff)
 
@@ -168,7 +171,7 @@ class TestSolveAgainstDense:
         # LAPACK's dstein rejects unsorted guesses with a message on stdout;
         # _grid sorts them, and bisects when two repeat or one is not finite
         grid, p = GridSpec("xi", 200), math.sqrt(81.0) + 0.5
-        _, _, got, vecs, res = numeric._grid(
+        _, _, got, vecs, res, _ = numeric._grid(
             grid, 400, lambda x: p * np.log(np.tanh(x)),
             lambda x: (p * p + p - 225 + 0.25) / np.cosh(x) ** 2 + 0.25, None, np.array(guesses))
         assert capfd.readouterr() == ("", "")
@@ -212,7 +215,7 @@ class TestCertificate:
         calls = lapack_calls(monkeypatch)
         grid = GridSpec("theta", 200)
         log_w, W = theta_problem()
-        _, _, got, vecs, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]))
+        _, _, got, vecs, _, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]))
         assert calls["dstein"] == [200, 200] and calls["tight"] == [200]
         want = dense_levels(200, theta_case(0, 0), grid.length)[:2]
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -225,8 +228,8 @@ class TestCertificate:
         calls = lapack_calls(monkeypatch)
         grid = GridSpec("theta", 200)
         log_w, W = theta_problem()
-        _, _, got, _, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]),
-                                        seeded=True)
+        _, _, got, _, _, _ = numeric._grid(grid, 200, log_w, W, 2, np.array([1.0, 25.0]),
+                                           seeded=True)
         assert calls["dstein"] == [200, 200, 200] and calls["loose"] == [200]
         assert calls["tight"] == []
         want = dense_levels(200, theta_case(0, 0), grid.length)[:2]

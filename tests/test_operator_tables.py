@@ -16,6 +16,7 @@ and accept and reject the same labels.
 """
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import pytest
@@ -24,11 +25,11 @@ from hypothesis import strategies as st
 
 from ladderspec import (AdmissibilityError, FunExpr, LabeledState, OperatorName,
                         ParamPoint, apply, apply_casimir, d_theta, d_xi,
-                        diag_eigenvalue, ground_beta, ground_chi, ground_full,
-                        ground_theta, monomial, reflect, separated_eigenvalue,
-                        separated_ladder, vertex_energy)
+                        diag_eigenvalue, ground_full, monomial, reflect,
+                        separated_eigenvalue, separated_ladder, vertex_energy)
 from ladderspec.algebra import Monomial, RationalLike, rational
 from ladderspec.operators import LADDER_OPERATORS, SHIFTS
+from ladderspec.spectra import _ground
 
 O = OperatorName
 HALF = Fraction(1, 2)
@@ -222,9 +223,13 @@ def hand_vertex_energy(l0: Fraction, l2: Fraction) -> Fraction:
     return -(s + Fraction(3, 2)) * (s + Fraction(5, 2))
 
 
-_HAND_STATES = {ground_theta: hand_ground_theta, ground_chi: hand_ground_chi,
-                ground_beta: hand_ground_beta, ground_full: hand_ground_full,
-                vertex_energy: hand_vertex_energy}
+# name -> (derived builder, hand form); the 1D ground states of families
+# A, B and C are those of the theta, chi and beta factor Hamiltonians
+_HAND_STATES = {"ground_theta": (partial(_ground, "A"), hand_ground_theta),
+                "ground_chi": (partial(_ground, "B"), hand_ground_chi),
+                "ground_beta": (partial(_ground, "C"), hand_ground_beta),
+                "ground_full": (ground_full, hand_ground_full),
+                "vertex_energy": (vertex_energy, hand_vertex_energy)}
 QUARTER_LABELS = [(Fraction(a, 4), Fraction(b, 4))
                   for a in range(-12, 13) for b in range(-12, 13)]
 
@@ -321,19 +326,20 @@ def test_unknown_family_and_reflection_entry_are_rejected():
         reflect(-1, O.A_PLUS)
 
 
-@pytest.mark.parametrize("derived", list(_HAND_STATES), ids=lambda f: f.__name__)
-def test_fundamental_states_match_hand_forms(derived):
+@pytest.mark.parametrize("name", list(_HAND_STATES))
+def test_fundamental_states_match_hand_forms(name):
+    derived, hand = _HAND_STATES[name]
     got = [_outcome(derived, x, y) for x, y in QUARTER_LABELS]
-    assert got == [_outcome(_HAND_STATES[derived], x, y) for x, y in QUARTER_LABELS]
+    assert got == [_outcome(hand, x, y) for x, y in QUARTER_LABELS]
     assert any(g is not AdmissibilityError for g in got)
 
 
-@pytest.mark.parametrize("family, ground", [("A", ground_theta), ("B", ground_chi),
-                                            ("C", ground_beta)])
-def test_ground_state_is_the_kernel_of_the_lowering_intertwiner(family, ground):
+@pytest.mark.parametrize("family, name", [("A", "ground_theta"), ("B", "ground_chi"),
+                                          ("C", "ground_beta")])
+def test_ground_state_is_the_kernel_of_the_lowering_intertwiner(family, name):
     kept = 0
     for x, y in QUARTER_LABELS:
-        f = _outcome(ground, x, y)
+        f = _outcome(_HAND_STATES[name][0], x, y)
         if f is not AdmissibilityError:
             assert separated_ladder(family, -1, (x, y))(f).is_zero, (x, y)
             kept += 1

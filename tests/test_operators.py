@@ -8,24 +8,34 @@ import pytest
 from ladderspec import (FunExpr, LabeledState, OperatorName, ParamPoint,
                         VariableMismatchError, apply, apply_casimir,
                         apply_hamiltonian, apply_separated, apply_word,
-                        commutator, cprime, diag_eigenvalue, eval_at,
-                        ground_full, ground_theta, hamiltonian_from_casimir,
-                        inner, monomial, reflect, separated_eigenvalue,
-                        separated_ladder, verify_intertwining)
+                        cprime, diag_eigenvalue, eval_at, ground_full,
+                        hamiltonian_from_casimir, inner, monomial, reflect,
+                        separated_eigenvalue, separated_ladder,
+                        verify_intertwining)
 from ladderspec import operators
-from ladderspec.operators import LOWERING_SO42, SHIFTS
+from ladderspec.operators import SHIFTS
+from ladderspec.spectra import _ground
 
 O = OperatorName
+LOWERING_SO42 = (O.A_MINUS, O.B_MINUS, O.C_MINUS,
+                 O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 
 
 def lstate(l0, l1, l2, expr) -> LabeledState:
     return LabeledState(ParamPoint.of(l0, l1, l2), expr)
 
 
+def commutator(x: OperatorName, y: OperatorName, st: LabeledState) -> LabeledState:
+    """[x, y] applied to st; both orderings land on the same label."""
+    xy, yx = apply(x, apply(y, st)), apply(y, apply(x, st))
+    assert xy.label == yx.label
+    return LabeledState(xy.label, xy.expr - yx.expr)
+
+
 class TestApply:
     def test_lowering_kills_theta_ground(self):
         # any xi-profile rides along; the theta factor is annihilated
-        f = ground_theta(1, "3/2") * monomial(1, 0, 0, -4, 2)
+        f = _ground("A", 1, "3/2") * monomial(1, 0, 0, -4, 2)
         st = lstate(1, "3/2", -5, f)
         assert apply(O.A_MINUS, st).is_zero
 
@@ -51,7 +61,7 @@ class TestApply:
     def test_su2_string_length(self):
         # repeated raising inside the compact family gives l0+l1+1 states
         for l0, l1 in ((1, 0), (2, 1), (0, 3)):
-            st = lstate(l0, l1, 0, ground_theta(l0, l1))
+            st = lstate(l0, l1, 0, _ground("A", l0, l1))
             count = 0
             while not st.is_zero:
                 count += 1
@@ -118,21 +128,19 @@ class TestHamiltonian:
 
 class TestSeparated:
     def test_theta_ground_eigenvalue(self):
-        f = ground_theta(1, "1/2")
+        f = _ground("A", 1, "1/2")
         lam = separated_eigenvalue("A", (1, "1/2"))
         assert lam == Fraction(25, 4)
         assert apply_separated("theta", f, (1, "1/2")) == f.scale(lam)
 
     def test_chi_ground_eigenvalue(self):
-        from ladderspec import ground_chi
-        f = ground_chi(0, -3)
+        f = _ground("B", 0, -3)
         lam = separated_eigenvalue("B", (0, -3))
         assert lam == -4
         assert apply_separated("chi", f, (0, -3)) == f.scale(lam)
 
     def test_beta_ground_eigenvalue(self):
-        from ladderspec import ground_beta
-        f = ground_beta(0, -4)
+        f = _ground("C", 0, -4)
         lam = separated_eigenvalue("C", (0, -4))
         assert lam == -9
         assert apply_separated("beta", f, (0, -4)) == f.scale(lam)
@@ -281,7 +289,6 @@ class TestReflect:
 
 class TestSo42Vacuum:
     def test_all_six_lowerings_annihilate(self):
-        from ladderspec import so42_vacuum
-        vac = so42_vacuum(-3)
+        vac = ground_full(0, -3)
         for op in LOWERING_SO42:
             assert apply(op, vac).is_zero

@@ -13,39 +13,39 @@ from hypothesis import strategies as st
 from ladderspec import (AdmissibilityError, LabeledState, OperatorName,
                         ParamPoint, apply, apply_hamiltonian, apply_word,
                         bound_spectrum, cprime, enumerate_lattice, gram_rank,
-                        ground_beta, ground_chi, ground_full, ground_theta,
-                        inner, is_normalizable, lattice_states, monomial,
-                        normalize, so42_vacuum, states_at,
-                        vertex_energy)
+                        ground_full, inner, is_normalizable, lattice_states,
+                        monomial, normalize, states_at, vertex_energy)
 from ladderspec.cli import main as cli_main
-from ladderspec.operators import LOWERING_SO42, LOWERING_SU21, SHIFTS
-from ladderspec.spectra import RAISING, _reaches
+from ladderspec.operators import SHIFTS
+from ladderspec.spectra import RAISING, _ground, _reaches
 
 from conftest import quadrature_oracle
 
 O = OperatorName
+LOWERING_SU21 = (O.A_MINUS, O.B_MINUS, O.C_MINUS)
+LOWERING_SO42 = LOWERING_SU21 + (O.ATILDE_MINUS, O.BTILDE_MINUS, O.CTILDE_MINUS)
 
 
 class TestGroundStates:
     def test_ground_theta_shape(self):
-        assert ground_theta(0, 0) == monomial(1, "1/2", "1/2")
-        st = LabeledState(ParamPoint.of(0, 0, 0), ground_theta(0, 0))
+        assert _ground("A", 0, 0) == monomial(1, "1/2", "1/2")
+        st = LabeledState(ParamPoint.of(0, 0, 0), _ground("A", 0, 0))
         assert apply(O.A_MINUS, st).is_zero
 
     def test_ground_chi_admissible(self):
-        assert ground_chi(0, -3) == monomial(1, 0, 0, "-5/2", "1/2")
+        assert _ground("B", 0, -3) == monomial(1, 0, 0, "-5/2", "1/2")
 
     def test_ground_chi_rejects(self):
         with pytest.raises(AdmissibilityError, match="chi ground state needs .*r\\+s < 0"):
-            ground_chi(0, -1)
+            _ground("B", 0, -1)
 
     def test_ground_beta_rejects_boundary(self):
         with pytest.raises(AdmissibilityError, match="beta ground state needs .*r\\+s < 0"):
-            ground_beta(1, 0)
+            _ground("C", 1, 0)
 
     def test_ground_theta_rejects(self):
         with pytest.raises(AdmissibilityError):
-            ground_theta(-1, 0)
+            _ground("A", -1, 0)
 
     def test_ground_full_shape(self):
         st = ground_full(0, -5)
@@ -62,14 +62,15 @@ class TestGroundStates:
             ground_full(0, -2)
 
     def test_so42_vacuum(self):
-        vac = so42_vacuum(-3)
+        # the l0 = 0 vertex, annihilated by the tilde lowerings as well
+        vac = ground_full(0, -3)
         assert vac.expr == monomial(1, "1/2", "1/2", "-5/2", 1)
         for op in LOWERING_SO42:
             assert apply(op, vac).is_zero
 
     def test_so42_vacuum_boundary(self):
         with pytest.raises(AdmissibilityError):
-            so42_vacuum("-5/2")
+            ground_full(0, "-5/2")
 
 
 class TestVertexEnergy:
@@ -169,8 +170,9 @@ class TestGramRank:
 
 class TestNormalize:
     def test_unit_norm_after(self):
-        st, const = normalize(ground_full(0, -5))
-        assert inner(st.expr, st.expr) == pytest.approx(1.0, abs=1e-12)
+        const = normalize(ground_full(0, -5))
+        unit = ground_full(0, -5).expr.scale(Fraction(const))
+        assert inner(unit, unit) == pytest.approx(1.0, abs=1e-12)
         assert const > 0
 
     def test_zero_state_rejected(self):
@@ -179,7 +181,7 @@ class TestNormalize:
 
     def test_constant_matches_quadrature(self):
         st = ground_full(0, -3)
-        const = normalize(st)[1]
+        const = normalize(st)
         oracle = 1.0 / math.sqrt(quadrature_oracle(st.expr * st.expr))
         assert abs(const - oracle) < 1e-8
 
@@ -239,7 +241,7 @@ class TestBoundSpectrum:
         from ladderspec import spectra
         monkeypatch.setattr(spectra, "_witnesses",
                             lambda v, t, a: [((), ground_full(v.l0, v.l2))])
-        monkeypatch.setattr(spectra, "normalize", lambda st: (st, 1.0))
+        monkeypatch.setattr(spectra, "normalize", lambda st: 1.0)
         rep = bound_spectrum(ParamPoint.of(0, 0, -141))
         assert len(rep.levels) == 70
         assert rep.levels[-1].vertex == ParamPoint.of(69, 0, -72)

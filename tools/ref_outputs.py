@@ -17,8 +17,9 @@ vertex, two multi-term word states and one state that diverges at a
 wall), ``crosscheck`` (at one label each
 binding channel has a level at the threshold E = 0, at the deep label
 (0, 0, -19) and on a coarse grid), labels with negative entries next to
-their branch labels, and a ``sample`` and a ``crosscheck`` whose cutoff
-leaves the float range.  A command that raises prints the exception's type
+their branch labels, a ``sample`` and a ``crosscheck`` whose cutoff
+leaves the float range, and a ``crosscheck`` whose cutoff is so small that
+the solvers' 1/h^2 does.  A command that raises prints the exception's type
 and message in place of its digest, and the commands after it still run.
 A refactor that keeps the program's behavior prints the same lines.
 """
@@ -98,6 +99,8 @@ COMMANDS = [argv for _, argv in sorted(CASES.items())] + [
     # cutoffs whose cell centres or squared cell width leave the float range
     ["sample", "--l0=0", "--l2=-5", "--grid", "3", "--cutoff", "1e308"],
     ["crosscheck"] + label("0", "0", "-5") + ["--cutoff=1e308"],
+    # a cutoff so small that 1/h^2 of the finest cell leaves the float range
+    ["crosscheck"] + label("0", "0", "-5") + ["--cutoff=1e-160"],
 ]
 
 
